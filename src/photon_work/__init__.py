@@ -23,14 +23,7 @@ from .dynamics import (
     full_cycle_grid,
     integrate_psi,
 )
-from .effective import (
-    AmplitudeBelowThreshold,
-    EffectiveTrajectory,
-    decay_rate,
-    effective_trajectory,
-    interaction_energy,
-    stark_shift,
-)
+from .effective import EffectiveTrajectory, effective_trajectory
 from .model import (
     PulseParams,
     SystemParams,
@@ -60,21 +53,12 @@ from .semiclassical import (
     work_reactive,
     work_total_and_decomposition,
 )
-from .thermo import (
-    ThermoReport,
-    heat_Q1,
-    heat_decomposition,
-    internal_energy,
-    thermo_report,
-    work_W1,
-    work_decomposition,
-)
+from .thermo import ThermoReport, thermo_report
 from .cli import RunConfig, parse_config, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeBelowThreshold",
     "AmplitudeTrajectory",
     "BlochTrajectory",
     "DetuningScan",
@@ -95,18 +79,13 @@ __all__ = [
     "closed_form_psi",
     "closed_form_trajectory",
     "compare_equivalences",
-    "decay_rate",
     "detuning_scan",
     "effective_trajectory",
     "envelope_at",
     "full_cycle_grid",
-    "heat_Q1",
-    "heat_decomposition",
     "init_single_photon",
     "integrate_bloch",
     "integrate_psi",
-    "interaction_energy",
-    "internal_energy",
     "lab_envelope_at",
     "make_mode_grid",
     "make_pulse",
@@ -117,14 +96,11 @@ __all__ = [
     "propagate",
     "run",
     "spectrum_at",
-    "stark_shift",
     "susceptibility",
     "thermo_report",
     "transition_frequency_eg",
     "uniform_grid",
-    "work_W1",
     "work_absorptive",
-    "work_decomposition",
     "work_reactive",
     "work_total_and_decomposition",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import closed_form_trajectory, full_cycle_grid
-from .model import PulseParams, SystemParams, make_pulse
+from .model import PulseParams, SystemParams, default_step, make_pulse, rate_scale
 from .pulse import PulseEnvelope
 from .semiclassical import integrate_bloch, work_total_and_decomposition
 from .thermo import ThermoReport, thermo_report
@@ -51,7 +51,6 @@ REGIME_POP_MAX = 0.02
 
 _EQUIV_STEP_CAP = 5e-3
 _SCAN_STEP_CAP = 5e-4
-_GUARD = 0.02
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,8 @@ def compare_equivalences(
     cycle_tol : float
         Full-cycle population tolerance passed to the grid builder.
     """
-    rate = max(system.gamma0, pulse.delta, abs(pulse.deltaL))
     if step is None:
-        step = min(_EQUIV_STEP_CAP, _GUARD / rate)
+        step = default_step(rate_scale(system, pulse), _EQUIV_STEP_CAP)
     grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, step=step)
 
     traj = closed_form_trajectory(system, pulse, grid)
@@ -180,9 +178,9 @@ def _scan_point(
     system: SystemParams, delta: float, deltaL: float, step, cycle_tol
 ) -> ThermoReport:
     pulse = make_pulse(delta, system.omega0 + deltaL, system)
-    rate = max(system.gamma0, delta, abs(deltaL))
-    eff = step if step is not None else min(_SCAN_STEP_CAP, _GUARD / rate)
-    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, step=eff)
+    if step is None:
+        step = default_step(rate_scale(system, pulse), _SCAN_STEP_CAP)
+    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, step=step)
     traj = closed_form_trajectory(system, pulse, grid)
     return thermo_report(traj)
 

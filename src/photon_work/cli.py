@@ -30,14 +30,17 @@ import numpy as np
 from .analysis import compare_equivalences, detuning_scan
 from .dynamics import closed_form_psi, closed_form_trajectory, full_cycle_grid
 from .effective import effective_trajectory
-from .model import SystemParams, make_pulse, make_system, uniform_grid
-from .oracle import (
-    ORACLE_STEP_FRACTION,
-    NormDriftError,
-    init_single_photon,
-    make_mode_grid,
-    propagate,
+from .model import (
+    DEFAULT_STEP_CAP,
+    SystemParams,
+    default_step,
+    make_pulse,
+    make_system,
+    oracle_step,
+    rate_scale,
+    uniform_grid,
 )
+from .oracle import NormDriftError, init_single_photon, make_mode_grid, propagate
 from .pulse import PulseEnvelope
 from .thermo import ThermoReport, thermo_report
 
@@ -73,7 +76,7 @@ class RunConfig:
     rho0: float = 1.0 / (2.0 * math.pi)
     delta: float = 1.0
     omegaL: float | None = None
-    step: float = 1e-3
+    step: float | None = None
     cycle_tol: float = 1e-12
     out: str = "run"
     traj_stride: int = 1
@@ -280,17 +283,19 @@ def _effective_omegaL(config: RunConfig) -> float:
     return config.omegaL if config.omegaL is not None else config.omega0
 
 
-def _effective_step(config: RunConfig, rate: float) -> float:
-    # Clamp well inside the integrator guard so extreme detunings or
-    # bandwidths stay accurate without requiring a hand-tuned config.
-    return min(config.step, 0.02 / rate)
+def _step_cap(config: RunConfig) -> float:
+    # Each mode clamps this cap well inside its integrator guard, so extreme
+    # detunings or bandwidths stay accurate without a hand-tuned config.
+    return DEFAULT_STEP_CAP if config.step is None else config.step
 
 
 def _run_single(config: RunConfig, system: SystemParams) -> int:
     pulse = make_pulse(config.delta, _effective_omegaL(config), system)
-    rate = max(system.gamma0, pulse.delta, abs(pulse.deltaL))
     grid = full_cycle_grid(
-        system, pulse, cycle_tol=config.cycle_tol, step=_effective_step(config, rate)
+        system,
+        pulse,
+        cycle_tol=config.cycle_tol,
+        step=default_step(rate_scale(system, pulse), _step_cap(config)),
     )
     traj = closed_form_trajectory(system, pulse, grid)
     eff = effective_trajectory(traj)
@@ -351,7 +356,7 @@ def _run_detuning(config: RunConfig, system: SystemParams) -> int:
         system,
         config.delta,
         config.deltaL_values,
-        step=_effective_step(config, rate),
+        step=default_step(rate, _step_cap(config)),
         cycle_tol=config.cycle_tol,
     )
     print(
@@ -386,12 +391,13 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
     reports = []
     for d in deltas:
         pulse = make_pulse(d, omegaL, system)
-        rate = max(system.gamma0, pulse.delta, abs(pulse.deltaL))
+        # Without a configured step the comparison picks its own, coarser
+        # cap: narrowband grids are long.
+        step = None
+        if config.step is not None:
+            step = default_step(rate_scale(system, pulse), config.step)
         rep = compare_equivalences(
-            system,
-            pulse,
-            step=_effective_step(config, rate),
-            cycle_tol=config.cycle_tol,
+            system, pulse, step=step, cycle_tol=config.cycle_tol
         )
         reports.append(rep)
         rows.append(
@@ -444,11 +450,7 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
     envelope = PulseEnvelope(pulse, system)
     mode_grid = make_mode_grid(system, config.half_width, config.n_modes)
     state = init_single_photon(mode_grid, envelope)
-    # The mode window sets the stiffest frequency, not the pulse.
-    step = min(
-        config.step,
-        ORACLE_STEP_FRACTION / max(mode_grid.half_width, system.gamma0),
-    )
+    step = min(_step_cap(config), oracle_step(mode_grid.half_width, system.gamma0))
     grid = uniform_grid(config.t_max, step)
     try:
         otraj = propagate(

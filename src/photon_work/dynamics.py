@@ -18,9 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
 
-from .model import PulseParams, SystemParams, TimeGrid, uniform_grid
+from .model import (
+    MAX_STEP_FRACTION,
+    PulseParams,
+    SystemParams,
+    TimeGrid,
+    check_step,
+    default_step,
+    rate_scale,
+    uniform_grid,
+)
 from .pulse import PulseEnvelope, envelope_at
 
 __all__ = [
@@ -34,9 +42,6 @@ __all__ = [
 
 # Switch to the degenerate-denominator limit below this |(gamma0-delta)/2 - i deltaL|.
 CONFLUENT_THRESHOLD = 1e-8
-
-# Accuracy guard for the fixed-step integrators, in units of the fastest rate.
-MAX_STEP_FRACTION = 0.05
 
 _CHUNK = 1 << 20
 
@@ -64,10 +69,6 @@ class AmplitudeTrajectory:
     system: SystemParams
     pulse: PulseParams
     method: str
-
-
-def _rate_scale(system: SystemParams, pulse: PulseParams) -> float:
-    return max(system.gamma0, pulse.delta, abs(pulse.deltaL))
 
 
 def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
@@ -137,14 +138,17 @@ def integrate_psi(
         If ``grid.spacing`` exceeds ``0.05 / max(gamma0, delta, |deltaL|)``
         (accuracy guard), refusing a step too coarse for the fastest rate.
     """
+    # scipy.signal is slow to import and no CLI mode integrates psi.
+    from scipy.signal import lfilter
+
     h = grid.spacing
-    rate = _rate_scale(system, pulse)
-    if h > MAX_STEP_FRACTION / rate:
-        raise ValueError(
-            f"step {h:g} too large: need step <= {MAX_STEP_FRACTION / rate:g} "
-            f"for rates (gamma0={system.gamma0:g}, delta={pulse.delta:g}, "
-            f"deltaL={pulse.deltaL:g})"
-        )
+    check_step(
+        h,
+        MAX_STEP_FRACTION / rate_scale(system, pulse),
+        gamma0=system.gamma0,
+        delta=pulse.delta,
+        deltaL=pulse.deltaL,
+    )
     mu = -0.5 * system.gamma0 * h
     # One-step amplification and drive weights of RK4 for y' = mu/h y + u(t).
     a_step = 1.0 + mu * (1.0 + mu * (0.5 + mu * (1.0 / 6.0 + mu / 24.0)))
@@ -213,12 +217,13 @@ def full_cycle_grid(
     cycle_tol : float
         Population threshold, 0 < cycle_tol < 1.
     step : float, optional
-        Grid spacing; defaults to ``min(1e-3, 0.02 / max rate)``.
+        Grid spacing; defaults to ``min(1e-3, 0.02 / max rate)``
+        (``model.default_step``).
     """
     if not (0.0 < cycle_tol < 1.0):
         raise ValueError("cycle_tol must be in (0, 1)")
     if step is None:
-        step = min(1e-3, 0.02 / _rate_scale(system, pulse))
+        step = default_step(rate_scale(system, pulse))
     mu = 0.5 * min(system.gamma0, pulse.delta)
     t_lo = 1.0 / mu  # past the peak of t e^{-mu t}; bound is monotone beyond
     if _population_bound(system, pulse, t_lo) <= cycle_tol:

@@ -27,20 +27,12 @@ from .model import TimeGrid
 
 __all__ = [
     "EffectiveTrajectory",
-    "AmplitudeBelowThreshold",
     "effective_trajectory",
-    "stark_shift",
-    "decay_rate",
-    "interaction_energy",
     "DEFAULT_ETA",
 ]
 
 # Relative population threshold below which ratio quantities are masked.
 DEFAULT_ETA = 1e-12
-
-
-class AmplitudeBelowThreshold(ValueError):
-    """Raised when a ratio quantity is requested at a masked sample."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,53 +86,3 @@ def effective_trajectory(
         pop=pop,
         valid_mask=valid,
     )
-
-
-def _ratio_parts(traj: AmplitudeTrajectory, k: int, eta: float):
-    pop = np.abs(traj.psi) ** 2
-    pmax = pop.max() if pop.size else 0.0
-    if pmax <= 0.0 or pop[k] < eta * pmax:
-        raise AmplitudeBelowThreshold(
-            f"amplitude below threshold at sample {k} (t={traj.grid.times()[k]:g})"
-        )
-    z = traj.phi[k] * np.conj(traj.psi[k])
-    return z, pop[k]
-
-
-def stark_shift(traj: AmplitudeTrajectory, k: int, eta: float = DEFAULT_ETA) -> float:
-    """Dynamic frequency shift ``delta_eff(t_k) = g Im[phi psi*] / |psi|^2``.
-
-    The shifted transition frequency is ``omega_s = omega0 + delta_eff``.
-
-    Raises
-    ------
-    AmplitudeBelowThreshold
-        If the population at sample ``k`` is below ``eta * max``.
-    """
-    z, p = _ratio_parts(traj, k, eta)
-    return traj.system.g * z.imag / p
-
-
-def decay_rate(traj: AmplitudeTrajectory, k: int, eta: float = DEFAULT_ETA) -> float:
-    """Effective decay rate ``Gamma(t_k) = gamma0 + 2 g Re[phi psi*] / |psi|^2``.
-
-    May be negative while the emitter absorbs from the pulse; the
-    population obeys ``d|psi|^2/dt = -Gamma(t) |psi|^2``.
-
-    Raises
-    ------
-    AmplitudeBelowThreshold
-        If the population at sample ``k`` is below ``eta * max``.
-    """
-    z, p = _ratio_parts(traj, k, eta)
-    return traj.system.gamma0 + 2.0 * traj.system.g * z.real / p
-
-
-def interaction_energy(traj: AmplitudeTrajectory, k: int) -> float:
-    """Interaction energy ``<H_int>(t_k) = 2 hbar g Im[phi psi*]``.
-
-    Regular for every sample (including psi = 0); equals
-    ``2 hbar delta_eff |psi|^2`` wherever the shift is defined.
-    """
-    z = traj.phi[k] * np.conj(traj.psi[k])
-    return 2.0 * traj.system.g * z.imag

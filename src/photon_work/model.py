@@ -1,10 +1,15 @@
-"""Shared domain types, unit conventions, and parameter validation.
+"""Shared domain types, unit conventions, parameter validation, step policy.
 
 Natural units with hbar = 1 are used throughout: the spontaneous emission
 rate ``gamma0`` sets the time unit, and every energy is reported in units
 of ``hbar * gamma0`` (or scaled by ``omega0`` where noted).  The emitter
 to continuum coupling ``g`` is never free: it is derived from the decay
 rate through ``gamma0 = 4 * pi * g**2 * rho0``.
+
+Every fixed-step grid is sized against the fastest rate of the run,
+``max(gamma0, delta, |deltaL|)``: default steps take a fraction 0.02 of
+its inverse and the integrators refuse steps above 0.05 of it.  The
+discretized continuum is instead limited by its widest mode detuning.
 """
 
 from __future__ import annotations
@@ -21,7 +26,19 @@ __all__ = [
     "make_system",
     "make_pulse",
     "uniform_grid",
+    "rate_scale",
+    "default_step",
+    "oracle_step",
+    "check_step",
 ]
+
+# Accuracy guard for the fixed-step integrators, in units of the fastest rate.
+MAX_STEP_FRACTION = 0.05
+# Default grid step, in units of the fastest rate, and its absolute cap.
+DEFAULT_STEP_FRACTION = 0.02
+DEFAULT_STEP_CAP = 1e-3
+# Oracle step: phase advance per step of the fastest mode stays below 0.02.
+ORACLE_STEP_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -164,3 +181,34 @@ def uniform_grid(tf: float, step: float) -> TimeGrid:
         raise ValueError("step must be positive")
     n_steps = max(1, math.ceil(tf / step - 1e-9))
     return TimeGrid(t0=0.0, tf=n_steps * step, n=n_steps + 1, spacing=step)
+
+
+def rate_scale(system: SystemParams, pulse: PulseParams) -> float:
+    """Fastest rate of a run, ``max(gamma0, delta, |deltaL|)``."""
+    return max(system.gamma0, pulse.delta, abs(pulse.deltaL))
+
+
+def default_step(rate: float, cap: float = DEFAULT_STEP_CAP) -> float:
+    """Grid step ``min(cap, 0.02 / rate)``, well inside the integrator guard."""
+    return min(cap, DEFAULT_STEP_FRACTION / rate)
+
+
+def oracle_step(half_width: float, gamma0: float) -> float:
+    """Largest step the discretized continuum allows: the window edge,
+    not the pulse, sets the stiffest frequency."""
+    return ORACLE_STEP_FRACTION / max(half_width, gamma0)
+
+
+def check_step(step: float, limit: float, **rates: float) -> None:
+    """Refuse a step too coarse for the fastest rate.
+
+    Raises
+    ------
+    ValueError
+        If ``step`` exceeds ``limit``; the message names ``rates``.
+    """
+    if step > limit:
+        named = ", ".join(f"{key}={val:g}" for key, val in rates.items())
+        raise ValueError(
+            f"step {step:g} too large: need step <= {limit:g} for rates ({named})"
+        )

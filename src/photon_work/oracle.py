@@ -29,13 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, TimeGrid, uniform_grid
+from .model import (
+    SystemParams,
+    TimeGrid,
+    check_step,
+    oracle_step,
+    rate_scale,
+    uniform_grid,
+)
 from .pulse import PulseEnvelope
-
-try:
-    from numba import njit
-except ImportError:
-    njit = None
 
 __all__ = [
     "ModeGrid",
@@ -50,8 +52,6 @@ __all__ = [
 
 # Spectral capture below which the window is flagged too narrow.
 MIN_CAPTURED_MASS = 0.999
-# Step bound: phase advance per step of the fastest mode stays below 0.02.
-ORACLE_STEP_FRACTION = 0.02
 DEFAULT_DRIFT_TOL = 1e-6
 
 
@@ -166,14 +166,9 @@ def init_single_photon(mode_grid: ModeGrid, envelope: PulseEnvelope) -> GlobalSt
     captured = float(raw2.sum()) * mode_grid.spacing * params.delta / (2.0 * math.pi)
     total = math.sqrt(float(raw2.sum()))
     amps = raw / total
-    rate_scale = max(
-        mode_grid.coupling**2 * 2.0 * math.pi / mode_grid.spacing,
-        params.delta,
-        abs(params.deltaL),
-    )
     window_ok = (
         captured >= MIN_CAPTURED_MASS
-        and mode_grid.half_width >= 50.0 * rate_scale
+        and mode_grid.half_width >= 50.0 * rate_scale(envelope.system, params)
     )
     phis = np.vstack([amps, amps]) / math.sqrt(2.0)
     return GlobalState(
@@ -184,14 +179,12 @@ def init_single_photon(mode_grid: ModeGrid, envelope: PulseEnvelope) -> GlobalSt
     )
 
 
-def _oracle_loop_py(h, gbar, dets, pr, pi, psi0, psi_out, norm_out):
+def _oracle_loop(h, gbar, dets, phi, psi, psi_out, norm_out):
     steps = psi_out.shape[0] - 1
-    phi = pr + 1j * pi
-    psi = psi0
     hh = 0.5 * h
     h6 = h / 6.0
     rot = -1j * dets
-    norm_out[0] = abs(psi) ** 2 + float(np.sum(pr**2 + pi**2))
+    norm_out[0] = abs(psi) ** 2 + float(np.sum(phi.real**2 + phi.imag**2))
     psi_out[0] = psi
     for m in range(steps):
         k1p = rot * phi + gbar * psi
@@ -212,116 +205,7 @@ def _oracle_loop_py(h, gbar, dets, pr, pi, psi0, psi_out, norm_out):
         psi = psi + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
         psi_out[m + 1] = psi
         norm_out[m + 1] = abs(psi) ** 2 + float(np.sum(np.abs(phi) ** 2))
-    pr[:] = phi.real
-    pi[:] = phi.imag
-
-
-def _oracle_loop_fast(h, gbar, dets, pr, pi, psi0, psi_out, norm_out):
-    n = dets.shape[0]
-    steps = psi_out.shape[0] - 1
-    k1r = np.empty(n)
-    k1i = np.empty(n)
-    k2r = np.empty(n)
-    k2i = np.empty(n)
-    k3r = np.empty(n)
-    k3i = np.empty(n)
-    yr = np.empty(n)
-    yi = np.empty(n)
-    hh = 0.5 * h
-    h6 = h / 6.0
-    psir = psi0.real
-    psii = psi0.imag
-    acc = 0.0
-    sr = 0.0
-    si = 0.0
-    for k in range(n):
-        acc += pr[k] * pr[k] + pi[k] * pi[k]
-        sr += pr[k]
-        si += pi[k]
-    psi_out[0] = complex(psir, psii)
-    norm_out[0] = psir * psir + psii * psii + acc
-    for m in range(steps):
-        # -i d phi has real part d*Im(phi), imaginary part -d*Re(phi).
-        a1r = -gbar * sr
-        a1i = -gbar * si
-        s2r = 0.0
-        s2i = 0.0
-        for k in range(n):
-            d = dets[k]
-            tr = d * pi[k] + gbar * psir
-            ti = -d * pr[k] + gbar * psii
-            k1r[k] = tr
-            k1i[k] = ti
-            ur = pr[k] + hh * tr
-            ui = pi[k] + hh * ti
-            yr[k] = ur
-            yi[k] = ui
-            s2r += ur
-            s2i += ui
-        p2r = psir + hh * a1r
-        p2i = psii + hh * a1i
-        a2r = -gbar * s2r
-        a2i = -gbar * s2i
-        s3r = 0.0
-        s3i = 0.0
-        for k in range(n):
-            d = dets[k]
-            tr = d * yi[k] + gbar * p2r
-            ti = -d * yr[k] + gbar * p2i
-            k2r[k] = tr
-            k2i[k] = ti
-            ur = pr[k] + hh * tr
-            ui = pi[k] + hh * ti
-            yr[k] = ur
-            yi[k] = ui
-            s3r += ur
-            s3i += ui
-        p3r = psir + hh * a2r
-        p3i = psii + hh * a2i
-        a3r = -gbar * s3r
-        a3i = -gbar * s3i
-        s4r = 0.0
-        s4i = 0.0
-        for k in range(n):
-            d = dets[k]
-            tr = d * yi[k] + gbar * p3r
-            ti = -d * yr[k] + gbar * p3i
-            k3r[k] = tr
-            k3i[k] = ti
-            ur = pr[k] + h * tr
-            ui = pi[k] + h * ti
-            yr[k] = ur
-            yi[k] = ui
-            s4r += ur
-            s4i += ui
-        p4r = psir + h * a3r
-        p4i = psii + h * a3i
-        a4r = -gbar * s4r
-        a4i = -gbar * s4i
-        acc = 0.0
-        sr = 0.0
-        si = 0.0
-        for k in range(n):
-            d = dets[k]
-            t4r = d * yi[k] + gbar * p4r
-            t4i = -d * yr[k] + gbar * p4i
-            ur = pr[k] + h6 * (k1r[k] + 2.0 * (k2r[k] + k3r[k]) + t4r)
-            ui = pi[k] + h6 * (k1i[k] + 2.0 * (k2i[k] + k3i[k]) + t4i)
-            pr[k] = ur
-            pi[k] = ui
-            acc += ur * ur + ui * ui
-            sr += ur
-            si += ui
-        psir = psir + h6 * (a1r + 2.0 * (a2r + a3r) + a4r)
-        psii = psii + h6 * (a1i + 2.0 * (a2i + a3i) + a4i)
-        psi_out[m + 1] = complex(psir, psii)
-        norm_out[m + 1] = psir * psir + psii * psii + acc
-
-
-if njit is not None:
-    _oracle_loop = njit(cache=True, fastmath=True)(_oracle_loop_fast)
-else:
-    _oracle_loop = _oracle_loop_py
+    return phi
 
 
 def propagate(
@@ -351,21 +235,25 @@ def propagate(
         Hard bound on max |1 - norm(t)|.
     """
     h = grid.spacing
-    limit = ORACLE_STEP_FRACTION / max(mode_grid.half_width, system.gamma0)
-    if h > limit:
-        raise ValueError(
-            f"step {h:g} too large: need step <= {limit:g} for half_width "
-            f"{mode_grid.half_width:g} and gamma0 {system.gamma0:g}"
-        )
+    check_step(
+        h,
+        oracle_step(mode_grid.half_width, system.gamma0),
+        half_width=mode_grid.half_width,
+        gamma0=system.gamma0,
+    )
     dets = mode_grid.detunings()
-    pr = np.ascontiguousarray(state.phis[0].real, dtype=np.float64)
-    pi = np.ascontiguousarray(state.phis[0].imag, dtype=np.float64)
     dark = state.phis[1].copy()
     dark_mass = float(np.sum(np.abs(dark) ** 2))
     psi_out = np.empty(grid.n, dtype=np.complex128)
     norm_out = np.empty(grid.n, dtype=np.float64)
-    _oracle_loop(
-        h, mode_grid.coupling, dets, pr, pi, complex(state.psi), psi_out, norm_out
+    phi = _oracle_loop(
+        h,
+        mode_grid.coupling,
+        dets,
+        state.phis[0],
+        complex(state.psi),
+        psi_out,
+        norm_out,
     )
     norm_out += dark_mass
     drift = float(np.max(np.abs(1.0 - norm_out)))
@@ -376,7 +264,7 @@ def propagate(
     dark_final = dark * np.exp(-1j * dets * grid.tf)
     final = GlobalState(
         psi=complex(psi_out[-1]),
-        phis=np.vstack([pr + 1j * pi, dark_final]),
+        phis=np.vstack([phi, dark_final]),
         captured_mass=state.captured_mass,
         window_ok=state.window_ok,
     )
@@ -396,5 +284,4 @@ def oracle_grid(
     mode_grid: ModeGrid, system: SystemParams, t_max: float
 ) -> TimeGrid:
     """Uniform grid at the largest step the propagation guard allows."""
-    step = ORACLE_STEP_FRACTION / max(mode_grid.half_width, system.gamma0)
-    return uniform_grid(t_max, step)
+    return uniform_grid(t_max, oracle_step(mode_grid.half_width, system.gamma0))

@@ -26,7 +26,8 @@ Linear response: the susceptibility of the dipole is a single Lorentzian
     chi~(omega) = i g / (gamma0/2 + i(omega0 - omega))
 
 and the frequency-domain forms of the reactive and absorptive work are
-quadratures of chi~' and chi~'' against the pulse spectrum.
+overlaps of chi~' and chi~'' with the Lorentzian pulse spectrum, which
+have closed forms.
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .dynamics import MAX_STEP_FRACTION
 from .effective import DEFAULT_ETA
-from .model import PulseParams, SystemParams, TimeGrid
+from .model import (
+    MAX_STEP_FRACTION,
+    PulseParams,
+    SystemParams,
+    TimeGrid,
+    check_step,
+    rate_scale,
+)
 from .pulse import PulseEnvelope, normalization
-from .thermo import FULL_CYCLE_POP
-
-try:
-    from numba import njit
-except ImportError:
-    njit = None
+from .thermo import check_full_cycle, trapezoid_sums
 
 __all__ = [
     "BlochTrajectory",
@@ -58,8 +59,6 @@ __all__ = [
     "work_total_and_decomposition",
     "transition_frequency_eg",
 ]
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +147,6 @@ def _bloch_loop(n, h, t0, gamma0, g, amp, dec_re, dec_im, rho_eg, rho_ee, alpha)
             alpha[0] = complex(e * math.cos(dec_im * t), -e * math.sin(dec_im * t))
 
 
-if njit is not None:
-    _bloch_loop = njit(cache=True)(_bloch_loop)
-
-
 def integrate_bloch(
     system: SystemParams,
     envelope: PulseEnvelope,
@@ -174,14 +169,13 @@ def integrate_bloch(
     """
     params = envelope.params
     h = grid.spacing
-    rate = max(system.gamma0, params.delta, abs(params.deltaL))
-    limit = MAX_STEP_FRACTION / rate
-    if h > limit:
-        raise ValueError(
-            f"step {h:g} too large: need step <= {limit:g} for rates "
-            f"(gamma0={system.gamma0:g}, delta={params.delta:g}, "
-            f"deltaL={params.deltaL:g})"
-        )
+    check_step(
+        h,
+        MAX_STEP_FRACTION / rate_scale(system, params),
+        gamma0=system.gamma0,
+        delta=params.delta,
+        deltaL=params.deltaL,
+    )
     n = grid.n
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
@@ -225,49 +219,25 @@ def susceptibility(system: SystemParams, omega):
     return chi
 
 
-def _spectrum_quad(system: SystemParams, pulse: PulseParams, part: str) -> float:
-    """Quadrature of chi~ part against |alpha~(omega)|^2 over the line."""
-    g = system.gamma0
-    half_g2 = (0.5 * g) ** 2
-    half_d2 = (0.5 * pulse.delta) ** 2
-    w0 = system.omega0
-    wl = pulse.omegaL
-    weight = system.rho0 * pulse.delta
+def _spectral_overlaps(system: SystemParams, pulse: PulseParams):
+    """Overlaps of chi~' and chi~'' with |alpha~(omega)|^2 over the line.
 
-    if part == "re":
+    Both are Lorentzian-on-Lorentzian integrals.  With a = gamma0/2,
+    b = delta/2, D = deltaL and x = omega - omega0:
 
-        def f(w):
-            return (
-                system.g
-                * (w0 - w)
-                / (half_g2 + (w0 - w) ** 2)
-                * weight
-                / (half_d2 + (wl - w) ** 2)
-            )
+        integral x dx / ((a^2 + x^2)(b^2 + (x - D)^2)) = pi D / (b den)
+        integral dx / ((a^2 + x^2)(b^2 + (x - D)^2)) = pi (a + b) / (a b den)
 
-    else:
-
-        def f(w):
-            return (
-                0.5
-                * system.g
-                * g
-                / (half_g2 + (w0 - w) ** 2)
-                * weight
-                / (half_d2 + (wl - w) ** 2)
-            )
-
-    # Split at the midpoint so both Lorentzian peaks sit in the finite
-    # panel, flagged as internal break points for the subdivision.
-    wc = 0.5 * (w0 + wl)
-    lo = wc - 10.0 * max(g, pulse.delta, 1.0)
-    hi = wc + 10.0 * max(g, pulse.delta, 1.0)
-    pts = sorted({w0, wl})
-    total = 0.0
-    total += quad(f, -np.inf, lo, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
-    total += quad(f, lo, hi, points=pts, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
-    total += quad(f, hi, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
-    return total
+    with den = (a + b)^2 + D^2, and |alpha~|^2 = rho0 delta / (b^2 + (x - D)^2).
+    """
+    a = 0.5 * system.gamma0
+    b = 0.5 * pulse.delta
+    d = pulse.deltaL
+    w = system.rho0 * pulse.delta
+    den = (a + b) ** 2 + d**2
+    re = -system.g * w * math.pi * d / (b * den)
+    im = 0.5 * system.g * system.gamma0 * w * math.pi * (a + b) / (a * b * den)
+    return re, im
 
 
 def work_reactive(system: SystemParams, pulse: PulseParams) -> float:
@@ -277,18 +247,14 @@ def work_reactive(system: SystemParams, pulse: PulseParams) -> float:
     Odd in the laser detuning; positive for a blue-detuned narrowband
     pulse (the spectral weight sits where chi~' < 0, and the leading
     minus sign makes the level-shift work positive)."""
-    return -pulse.delta * system.g * _spectrum_quad(system, pulse, "re")
+    return -pulse.delta * system.g * _spectral_overlaps(system, pulse)[0]
 
 
 def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     """Absorptive drive work from linear response,
     ``hbar omegaL 2 g integral chi~''(omega) |alpha~(omega)|^2 domega``;
-    tends to 2 hbar omegaL for a resonant monochromatic pulse."""
-    return pulse.omegaL * 2.0 * system.g * _spectrum_quad(system, pulse, "im")
-
-
-def _trap(h: float, y: np.ndarray) -> float:
-    return h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
+    equals ``2 hbar omegaL gamma0 / (gamma0 + delta)`` on resonance."""
+    return pulse.omegaL * 2.0 * system.g * _spectral_overlaps(system, pulse)[1]
 
 
 def transition_frequency_eg(
@@ -331,30 +297,17 @@ def work_total_and_decomposition(
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
     g = traj.system.g
-    h = traj.grid.spacing
-    n = traj.grid.n
-
-    if not allow_partial and float(traj.rho_ee[-1]) > FULL_CYCLE_POP:
-        raise ValueError(
-            "boundary terms not negligible: end population "
-            f"{float(traj.rho_ee[-1]):.3e} exceeds {FULL_CYCLE_POP:.0e}; extend "
-            "the grid (full_cycle_grid) or pass allow_partial=True"
-        )
-
-    mod2_full = np.abs(traj.rho_eg) ** 2
-    mmax = float(mod2_full.max()) if n else 0.0
-    threshold = eta * mmax
-
     dec_re = 0.5 * params.delta
     dec_im = params.deltaL
-    sums = dict.fromkeys(("w", "dh", "reac", "abs", "q"), 0.0)
-    for i0 in range(0, max(n - 1, 1), _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        s = traj.rho_eg[i0 : i1 + 1]
-        pp = traj.rho_ee[i0 : i1 + 1]
-        a = traj.alpha[i0 : i1 + 1]
-        mod2 = mod2_full[i0 : i1 + 1]
-        u = a * np.conj(s)
+
+    check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
+    mod2_full = np.abs(traj.rho_eg) ** 2
+    threshold = eta * float(mod2_full.max())
+
+    def integrands(sl):
+        pp = traj.rho_ee[sl]
+        mod2 = mod2_full[sl]
+        u = traj.alpha[sl] * np.conj(traj.rho_eg[sl])
         reu = u.real
         imu = u.imag
         # Im[(da/dt) s*] from the exact envelope derivative.
@@ -362,17 +315,13 @@ def work_total_and_decomposition(
         occ = 1.0 - 2.0 * pp
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(mod2 > threshold, reu * imu / mod2, 0.0)
-        w = 2.0 * g * (im_adot - omega0 * reu)
-        dh = 2.0 * g * (im_adot - 0.5 * gamma0 * imu)
-        reac = g * gamma0 * imu + 2.0 * g * g * occ * r
-        absb = -2.0 * g * omega0 * reu - 2.0 * g * g * occ * r
-        q = -omega0 * gamma0 * pp - g * gamma0 * imu
-        sums["w"] += _trap(h, w)
-        sums["dh"] += _trap(h, dh)
-        sums["reac"] += _trap(h, reac)
-        sums["abs"] += _trap(h, absb)
-        sums["q"] += _trap(h, q)
+        yield "w", 2.0 * g * (im_adot - omega0 * reu)
+        yield "dh", 2.0 * g * (im_adot - 0.5 * gamma0 * imu)
+        yield "reac", g * gamma0 * imu + 2.0 * g * g * occ * r
+        yield "abs", -2.0 * g * omega0 * reu - 2.0 * g * g * occ * r
+        yield "q", -omega0 * gamma0 * pp - g * gamma0 * imu
 
+    sums = trapezoid_sums(traj.grid.n, traj.grid.spacing, integrands)
     w_alpha = sums["w"]
     w_int = sums["dh"]
     w_reac = sums["reac"]

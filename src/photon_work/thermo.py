@@ -39,11 +39,6 @@ from .effective import DEFAULT_ETA
 
 __all__ = [
     "ThermoReport",
-    "internal_energy",
-    "work_W1",
-    "heat_Q1",
-    "heat_decomposition",
-    "work_decomposition",
     "thermo_report",
     "FULL_CYCLE_POP",
 ]
@@ -58,6 +53,11 @@ _CHUNK = 1 << 20
 class ThermoReport:
     """Energy balance of a single run (all energies in hbar gamma0).
 
+    ``W1`` splits into the interaction-energy boundary part ``W1_int`` and
+    the reactive part ``W1_reac = integral <H_int> (Gamma(t)/2) dt``;
+    ``Q1`` into the absorption ``Q1_abs = integral omega_s (-2 g Re z) dt``
+    and the free emission
+    ``Q1_em = integral (-gamma0 omega0 p - (gamma0/2) <H_int>) dt``.
     ``dU`` is the quadrature of the internal-energy derivative on the same
     rule as ``W1`` and ``Q1``, so ``residual_first_law`` compares three
     independently assembled integrand arrays, not a value against itself.
@@ -80,65 +80,31 @@ def _trap(h: float, y: np.ndarray) -> float:
     return h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
 
 
-def _integral_sums(traj: AmplitudeTrajectory, eta: float) -> dict:
-    gamma0 = traj.system.gamma0
-    omega0 = traj.system.omega0
-    g = traj.system.g
-    delta = traj.pulse.delta
-    deltaL = traj.pulse.deltaL
-    h = traj.grid.spacing
-    n = traj.grid.n
+def trapezoid_sums(n: int, h: float, integrands) -> dict:
+    """Composite trapezoid sums of named integrands on a uniform grid.
 
-    pop = np.abs(traj.psi) ** 2
-    pmax = float(pop.max()) if n else 0.0
-    threshold = eta * pmax
-
-    names = ("w1", "q1", "du", "qabs", "qem", "wint", "wreac")
-    sums = dict.fromkeys(names, 0.0)
+    The ``n`` samples are walked in chunks of ``_CHUNK`` steps that share
+    their end samples, which bounds the memory of the integrand arrays.
+    ``integrands(sl)`` yields ``(name, values)`` pairs for the samples in
+    slice ``sl``; each sum accumulates its chunks in order.
+    """
+    sums: dict = {}
     for i0 in range(0, max(n - 1, 1), _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        psi = traj.psi[i0 : i1 + 1]
-        phi = traj.phi[i0 : i1 + 1]
-        p = pop[i0 : i1 + 1]
-        z = phi * np.conj(psi)
-        rez = z.real
-        imz = z.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(p > threshold, rez * imz / p, 0.0)
-        dp = -gamma0 * p - 2.0 * g * rez
-        im_zdot = -0.5 * (gamma0 + delta) * imz - deltaL * rez
-        dhint = 2.0 * g * im_zdot
-        f = -g * gamma0 * imz - 2.0 * g * g * r
-        sums["w1"] += _trap(h, 0.5 * dhint - f)
-        sums["q1"] += _trap(h, omega0 * dp + f)
-        sums["du"] += _trap(h, omega0 * dp + 0.5 * dhint)
-        sums["qabs"] += _trap(h, -2.0 * g * omega0 * rez - 2.0 * g * g * r)
-        sums["qem"] += _trap(h, -omega0 * gamma0 * p - g * gamma0 * imz)
-        sums["wint"] += _trap(h, 0.5 * dhint)
-        sums["wreac"] += _trap(h, g * gamma0 * imz + 2.0 * g * g * r)
-    sums["pop_end"] = float(pop[-1])
+        sl = slice(i0, min(i0 + _CHUNK, n - 1) + 1)
+        for name, y in integrands(sl):
+            sums[name] = sums.get(name, 0.0) + _trap(h, y)
     return sums
 
 
-def _check_full_cycle(sums: dict, allow_partial: bool) -> None:
-    if allow_partial:
-        return
-    if sums["pop_end"] > FULL_CYCLE_POP:
+def check_full_cycle(pop_end: float, allow_partial: bool) -> None:
+    """Refuse a grid whose end population leaves boundary terms behind,
+    unless the caller accepts a partial cycle."""
+    if not allow_partial and pop_end > FULL_CYCLE_POP:
         raise ValueError(
             "boundary terms not negligible: end population "
-            f"{sums['pop_end']:.3e} exceeds {FULL_CYCLE_POP:.0e}; extend the "
+            f"{pop_end:.3e} exceeds {FULL_CYCLE_POP:.0e}; extend the "
             "grid (full_cycle_grid) or pass allow_partial=True"
         )
-
-
-def internal_energy(traj: AmplitudeTrajectory, k: int) -> float:
-    """Internal energy ``U(t_k) = omega0 |psi|^2 + <H_int>/2``.
-
-    This is the regular form of ``omega_s |psi|^2``: the shift term enters
-    through the interaction energy, which stays finite at psi = 0.
-    """
-    z = traj.phi[k] * np.conj(traj.psi[k])
-    return traj.system.omega0 * abs(traj.psi[k]) ** 2 + traj.system.g * z.imag
 
 
 def thermo_report(
@@ -157,8 +123,36 @@ def thermo_report(
     eta : float
         Relative population threshold for the bounded ratio term.
     """
-    sums = _integral_sums(traj, eta)
-    _check_full_cycle(sums, allow_partial)
+    gamma0 = traj.system.gamma0
+    omega0 = traj.system.omega0
+    g = traj.system.g
+    delta = traj.pulse.delta
+    deltaL = traj.pulse.deltaL
+
+    pop = np.abs(traj.psi) ** 2
+    check_full_cycle(float(pop[-1]), allow_partial)
+    threshold = eta * float(pop.max())
+
+    def integrands(sl):
+        p = pop[sl]
+        z = traj.phi[sl] * np.conj(traj.psi[sl])
+        rez = z.real
+        imz = z.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(p > threshold, rez * imz / p, 0.0)
+        dp = -gamma0 * p - 2.0 * g * rez
+        im_zdot = -0.5 * (gamma0 + delta) * imz - deltaL * rez
+        dhint = 2.0 * g * im_zdot
+        f = -g * gamma0 * imz - 2.0 * g * g * r
+        yield "w1", 0.5 * dhint - f
+        yield "q1", omega0 * dp + f
+        yield "du", omega0 * dp + 0.5 * dhint
+        yield "qabs", -2.0 * g * omega0 * rez - 2.0 * g * g * r
+        yield "qem", -omega0 * gamma0 * p - g * gamma0 * imz
+        yield "wint", 0.5 * dhint
+        yield "wreac", g * gamma0 * imz + 2.0 * g * g * r
+
+    sums = trapezoid_sums(traj.grid.n, traj.grid.spacing, integrands)
     w1 = sums["w1"]
     q1 = sums["q1"]
     du = sums["du"]
@@ -180,47 +174,3 @@ def thermo_report(
         residual_W_split=w1 - (w1_int + w1_reac),
         grid_meta=f"trapezoid n={grid.n} spacing={grid.spacing:.6g}",
     )
-
-
-def work_W1(traj: AmplitudeTrajectory, allow_partial: bool = False) -> float:
-    """Work received by the emitter through the moving level,
-    ``W1 = [<H_int>/2] - integral (dp/dt) delta_eff dt`` in the
-    integration-by-parts form, with the boundary term evaluated on the
-    same quadrature (as the integral of ``d<H_int>/dt / 2``)."""
-    sums = _integral_sums(traj, DEFAULT_ETA)
-    _check_full_cycle(sums, allow_partial)
-    return sums["w1"]
-
-
-def heat_Q1(traj: AmplitudeTrajectory, allow_partial: bool = False) -> float:
-    """Generalized heat ``Q1 = omega0 * integral dp/dt dt +
-    integral (dp/dt) delta_eff dt`` (same regularized integrand as
-    :func:`work_W1`); over a full cycle the omega0 term vanishes."""
-    sums = _integral_sums(traj, DEFAULT_ETA)
-    _check_full_cycle(sums, allow_partial)
-    return sums["q1"]
-
-
-def heat_decomposition(
-    traj: AmplitudeTrajectory, allow_partial: bool = False
-) -> tuple[float, float]:
-    """Split of Q1 into absorption from the pulse and free emission:
-
-    ``Q1_abs = integral omega_s (-2 g Re z) dt`` and
-    ``Q1_em = integral (-gamma0 omega0 p - (gamma0/2) <H_int>) dt``;
-    their sum equals ``Q1`` up to rounding.
-    """
-    sums = _integral_sums(traj, DEFAULT_ETA)
-    _check_full_cycle(sums, allow_partial)
-    return sums["qabs"], sums["qem"]
-
-
-def work_decomposition(
-    traj: AmplitudeTrajectory, allow_partial: bool = False
-) -> tuple[float, float]:
-    """Split of W1 into the interaction-energy boundary part and the
-    reactive part ``integral <H_int> (Gamma(t)/2) dt`` (product form);
-    their sum equals ``W1`` up to rounding."""
-    sums = _integral_sums(traj, DEFAULT_ETA)
-    _check_full_cycle(sums, allow_partial)
-    return sums["wint"], sums["wreac"]

@@ -79,11 +79,6 @@ def run_set(system) -> RunSet:
     while len(params) < N_RUNS:
         params.append((float(10.0 ** rng.uniform(-2, 1)), float(rng.uniform(-5, 5))))
 
-    # Compile the Bloch kernel outside the timed phases.
-    warm_pulse = make_pulse(1.0, system.omega0, system)
-    warm_grid = full_cycle_grid(system, warm_pulse, cycle_tol=1e-6, step=4e-3)
-    integrate_bloch(system, PulseEnvelope(warm_pulse, system), warm_grid)
-
     records = []
     timings = {"thermo": 0.0, "ode": 0.0, "bloch": 0.0}
     for delta, deltaL in params:
@@ -186,10 +181,6 @@ def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
 def oracle_pair(system):
     """Confluent resonant oracle runs at W = 100 and the doubled window."""
     pulse = make_pulse(1.0, system.omega0, system)
-    # Warm the kernel so the timed run measures propagation, not compilation.
-    warm_grid = make_mode_grid(system, half_width=10.0, n_modes=11)
-    warm_state = init_single_photon(warm_grid, PulseEnvelope(pulse, system))
-    propagate(warm_state, warm_grid, system, oracle_grid(warm_grid, system, 0.01))
     base = _oracle_case(system, pulse, 100.0, 4001)
     doubled = _oracle_case(system, pulse, 200.0, 8001)
     return base, doubled

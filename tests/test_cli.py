@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import photon_work
+from photon_work.analysis import compare_equivalences
 from photon_work.cli import RunConfig, _fmt, main, parse_config
+from photon_work.model import make_pulse, make_system
 
 
 def test_empty_text_gives_defaults():
@@ -16,7 +23,7 @@ def test_empty_text_gives_defaults():
     # omegaL resolves to resonance; everything else is the field default.
     assert cfg == RunConfig(omegaL=100.0)
     assert cfg.mode == "single"
-    assert cfg.step == 1e-3
+    assert cfg.step is None
     assert cfg.cycle_tol == 1e-12
     assert cfg.rho0 == pytest.approx(1.0 / (2.0 * math.pi))
 
@@ -185,6 +192,32 @@ def test_equivalence_mode_off_regime_is_not_enforced(workdir, capsys):
     assert lines[1].endswith(",0")  # in_regime column
 
 
+def test_equivalence_mode_default_step_is_the_library_default(workdir):
+    # Without a step the comparison uses its own cap, as a library call does.
+    cfg = _write(workdir, "mode=equivalence\ndelta=0.1\ndeltaL=0.2\nout=eqd\n")
+    assert main([cfg]) == 0
+    system = make_system()
+    rep = compare_equivalences(system, make_pulse(0.1, 100.2, system))
+    expected = (
+        0.1,
+        rep.w1,
+        rep.w_reac_alpha,
+        rep.q1_abs,
+        rep.w_abs_alpha,
+        rep.q1_em,
+        rep.q_alpha,
+        rep.rel_err_work_reactive,
+        rep.rel_err_heat_absorbed,
+        rep.rel_err_heat_emitted,
+        rep.regime.delta_over_gamma0,
+        rep.regime.max_pop_quantum,
+        rep.regime.max_pop_semiclassical,
+        rep.regime.in_regime,
+    )
+    lines = (workdir / "eqd_equivalence.csv").read_text().splitlines()
+    assert lines[1] == ",".join(_fmt(v) for v in expected)
+
+
 def test_bandwidth_scan_mode(workdir):
     cfg = _write(
         workdir, "mode=bandwidth_scan\ndelta_values=0.5,0.25\ndeltaL=0.3\nout=bw\n"
@@ -219,3 +252,18 @@ def test_oracle_mode_drift_violation_exits_2(workdir, capsys):
     )
     assert main([cfg]) == 2
     assert "norm_drift" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import and no CLI mode needs it.
+    code = "import sys, photon_work.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(photon_work.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "False"

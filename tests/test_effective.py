@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from photon_work.dynamics import closed_form_trajectory, integrate_psi
-from photon_work.effective import (
-    AmplitudeBelowThreshold,
-    decay_rate,
-    effective_trajectory,
-    interaction_energy,
-    stark_shift,
-)
+from photon_work.effective import effective_trajectory
 from photon_work.model import make_pulse, make_system, uniform_grid
 
 
@@ -32,12 +26,10 @@ def confluent(sys1):
 
 def test_confluent_decay_rate_is_one_minus_two_over_t(confluent):
     # Resonant matched pulse: Gamma(t) = gamma0 - 2/t exactly.
-    k = 100  # t = 0.1
-    assert decay_rate(confluent, k) == pytest.approx(-19.0, rel=1e-12)
-    k = 2000  # t = 2.0, the zero crossing
-    assert decay_rate(confluent, k) == pytest.approx(0.0, abs=1e-10)
-    k = 8000  # t = 8.0
-    assert decay_rate(confluent, k) == pytest.approx(1.0 - 0.25, rel=1e-12)
+    gamma_t = effective_trajectory(confluent).gamma_t
+    assert gamma_t[100] == pytest.approx(-19.0, rel=1e-12)  # t = 0.1
+    assert gamma_t[2000] == pytest.approx(0.0, abs=1e-10)  # t = 2, the zero crossing
+    assert gamma_t[8000] == pytest.approx(1.0 - 0.25, rel=1e-12)  # t = 8
 
 
 def test_confluent_sign_change_at_peak(confluent):
@@ -60,7 +52,7 @@ def test_decay_rate_relaxes_to_gamma0(sys1):
     # Broadband pulse: once the drive is gone only spontaneous decay acts.
     pulse = make_pulse(10.0, 100.0, sys1)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(10.0, 1e-3))
-    assert decay_rate(traj, traj.grid.n - 1) == pytest.approx(
+    assert effective_trajectory(traj).gamma_t[-1] == pytest.approx(
         sys1.gamma0, abs=1e-9
     )
 
@@ -87,8 +79,8 @@ def test_interaction_energy_matches_shift(sys1):
     rhs = 2.0 * eff.delta_eff[sel] * eff.pop[sel]
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     k = int(np.argmax(eff.pop))
-    assert interaction_energy(traj, k) == pytest.approx(
-        2.0 * stark_shift(traj, k) * eff.pop[k], rel=1e-12
+    assert eff.h_int[k] == pytest.approx(
+        2.0 * eff.delta_eff[k] * eff.pop[k], rel=1e-12
     )
 
 
@@ -117,11 +109,8 @@ def test_low_population_samples_are_masked(sys1):
     assert eff.valid_mask.any()
     assert np.isnan(eff.delta_eff[-1]) and np.isnan(eff.gamma_t[-1])
     assert np.all(np.isfinite(eff.h_int))
-    with pytest.raises(AmplitudeBelowThreshold, match="sample 0"):
-        stark_shift(traj, 0)
-    with pytest.raises(AmplitudeBelowThreshold, match="below threshold"):
-        decay_rate(traj, traj.grid.n - 1)
-    assert interaction_energy(traj, traj.grid.n - 1) == pytest.approx(0.0, abs=1e-20)
+    assert np.isnan(eff.delta_eff[0]) and np.isnan(eff.gamma_t[0])
+    assert eff.h_int[-1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_zero_coupling_leaves_no_valid_samples(sys1):
@@ -130,5 +119,4 @@ def test_zero_coupling_leaves_no_valid_samples(sys1):
     traj = integrate_psi(system, pulse, uniform_grid(5.0, 1e-3))
     eff = effective_trajectory(traj)
     assert not eff.valid_mask.any()
-    with pytest.raises(AmplitudeBelowThreshold):
-        decay_rate(traj, 100)
+    assert np.isnan(eff.gamma_t[100])

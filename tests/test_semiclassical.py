@@ -121,6 +121,61 @@ def test_reactive_work_sign_and_antisymmetry(sys1):
     assert blue == pytest.approx(-red, rel=1e-9)
 
 
+def _quad_overlap(system, pulse, part):
+    """Reference: quadrature of chi~ part against |alpha~(omega)|^2 over the
+    line, in three panels with both Lorentzian peaks in the finite one."""
+    g = system.gamma0
+    half_g2 = (0.5 * g) ** 2
+    half_d2 = (0.5 * pulse.delta) ** 2
+    w0 = system.omega0
+    wl = pulse.omegaL
+    weight = system.rho0 * pulse.delta
+
+    if part == "re":
+
+        def f(w):
+            return (
+                system.g
+                * (w0 - w)
+                / (half_g2 + (w0 - w) ** 2)
+                * weight
+                / (half_d2 + (wl - w) ** 2)
+            )
+
+    else:
+
+        def f(w):
+            return (
+                0.5
+                * system.g
+                * g
+                / (half_g2 + (w0 - w) ** 2)
+                * weight
+                / (half_d2 + (wl - w) ** 2)
+            )
+
+    wc = 0.5 * (w0 + wl)
+    lo = wc - 10.0 * max(g, pulse.delta, 1.0)
+    hi = wc + 10.0 * max(g, pulse.delta, 1.0)
+    pts = sorted({w0, wl})
+    total = 0.0
+    total += quad(f, -np.inf, lo, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    total += quad(f, lo, hi, points=pts, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+    total += quad(f, hi, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize("delta,deltaL", [(0.01, 0.2), (1.0, -3.0), (0.1, 20.0)])
+def test_linear_response_matches_spectral_quadrature(sys1, delta, deltaL):
+    """The closed-form Lorentzian overlaps agree with direct quadrature of
+    the frequency-domain definitions."""
+    pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
+    reactive = -pulse.delta * sys1.g * _quad_overlap(sys1, pulse, "re")
+    absorptive = pulse.omegaL * 2.0 * sys1.g * _quad_overlap(sys1, pulse, "im")
+    assert work_reactive(sys1, pulse) == pytest.approx(reactive, rel=1e-10, abs=0.0)
+    assert work_absorptive(sys1, pulse) == pytest.approx(absorptive, rel=1e-10, abs=0.0)
+
+
 def test_reactive_work_matches_quasi_steady_quadrature(sys1, narrow_det):
     """The frequency quadrature reproduces the quasi-steady level-shift
     work (bandwidth/2 times the interaction-energy integral): exactly in

@@ -11,14 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid, integrate_psi
 from photon_work.model import make_pulse, make_system, uniform_grid
-from photon_work.thermo import (
-    heat_Q1,
-    heat_decomposition,
-    internal_energy,
-    thermo_report,
-    work_W1,
-    work_decomposition,
-)
+from photon_work.thermo import thermo_report
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +30,15 @@ def detuned_run(sys1):
 
 def test_internal_energy_at_confluent_peak(confluent_run):
     # U(2) = omega0 * 2 e^{-2}; the shift term vanishes on resonance.
+    eff = confluent_run.eff
+
+    def internal_energy(k):
+        return confluent_run.system.omega0 * eff.pop[k] + 0.5 * eff.h_int[k]
+
     k = round(2.0 / confluent_run.grid.spacing)
     expected = 100.0 * 2.0 * math.exp(-2.0)
-    assert internal_energy(confluent_run.traj, k) == pytest.approx(
-        expected, rel=1e-9
-    )
-    assert internal_energy(confluent_run.traj, 0) == 0.0
+    assert internal_energy(k) == pytest.approx(expected, rel=1e-9)
+    assert internal_energy(0) == 0.0
 
 
 def test_confluent_half_cycle_heat(sys1):
@@ -51,16 +47,17 @@ def test_confluent_half_cycle_heat(sys1):
     pulse = make_pulse(1.0, 100.0, sys1)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(2.0, 1e-4))
     expected = 100.0 * 2.0 * math.exp(-2.0)
-    assert work_W1(traj, allow_partial=True) == 0.0
-    assert heat_Q1(traj, allow_partial=True) == pytest.approx(expected, rel=1e-6)
+    rep = thermo_report(traj, allow_partial=True)
+    assert rep.W1 == 0.0
+    assert rep.Q1 == pytest.approx(expected, rel=1e-6)
 
 
 def test_partial_grid_rejected_without_flag(sys1):
     pulse = make_pulse(1.0, 100.0, sys1)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(2.0, 1e-3))
-    with pytest.raises(ValueError, match="boundary terms not negligible"):
-        heat_Q1(traj)
-    with pytest.raises(ValueError, match="allow_partial"):
+    with pytest.raises(
+        ValueError, match="boundary terms not negligible.*allow_partial"
+    ):
         thermo_report(traj)
 
 
@@ -84,14 +81,10 @@ def test_heat_split_signs(detuned_run):
     assert rep.Q1_abs > 0.0 > rep.Q1_em
 
 
-def test_decomposition_functions_match_report(detuned_run):
-    traj, rep = detuned_run
-    qabs, qem = heat_decomposition(traj)
-    wint, wreac = work_decomposition(traj)
-    assert (qabs, qem) == (rep.Q1_abs, rep.Q1_em)
-    assert (wint, wreac) == (rep.W1_int, rep.W1_reac)
-    assert qabs + qem == pytest.approx(rep.Q1, abs=1e-12)
-    assert wint + wreac == pytest.approx(rep.W1, abs=1e-12)
+def test_report_splits_sum_to_totals(detuned_run):
+    _, rep = detuned_run
+    assert rep.Q1_abs + rep.Q1_em == pytest.approx(rep.Q1, abs=1e-12)
+    assert rep.W1_int + rep.W1_reac == pytest.approx(rep.W1, abs=1e-12)
 
 
 def test_resonant_work_is_exactly_zero(sys1):
@@ -101,15 +94,15 @@ def test_resonant_work_is_exactly_zero(sys1):
         pulse = make_pulse(delta, 100.0, sys1)
         grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, step=1e-3)
         traj = closed_form_trajectory(sys1, pulse, grid)
-        assert abs(work_W1(traj)) < 1e-16
+        assert abs(thermo_report(traj).W1) < 1e-16
 
 
 def test_work_antisymmetric_under_detuning_flip(sys1):
     pulse_p = make_pulse(0.1, 100.4, sys1)
     pulse_m = make_pulse(0.1, 99.6, sys1)
     grid = full_cycle_grid(sys1, pulse_p, cycle_tol=1e-12, step=1e-3)
-    w_p = work_W1(closed_form_trajectory(sys1, pulse_p, grid))
-    w_m = work_W1(closed_form_trajectory(sys1, pulse_m, grid))
+    w_p = thermo_report(closed_form_trajectory(sys1, pulse_p, grid)).W1
+    w_m = thermo_report(closed_form_trajectory(sys1, pulse_m, grid)).W1
     assert w_p != 0.0
     assert abs(w_p + w_m) < 1e-12
 
@@ -118,13 +111,13 @@ def test_work_value_converges_with_step(sys1):
     pulse = make_pulse(0.1, 100.2, sys1)
     grid_ref = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, step=2.5e-4)
     tf = grid_ref.tf
-    ref = work_W1(closed_form_trajectory(sys1, pulse, grid_ref))
+    ref = thermo_report(closed_form_trajectory(sys1, pulse, grid_ref)).W1
 
     def w_at(step):
-        return work_W1(
+        return thermo_report(
             closed_form_trajectory(sys1, pulse, uniform_grid(tf, step)),
             allow_partial=True,
-        )
+        ).W1
 
     err_coarse = abs(w_at(2e-3) - ref)
     err_fine = abs(w_at(1e-3) - ref)
