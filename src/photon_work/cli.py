@@ -11,10 +11,10 @@ One config describes one run mode:
 Numbers are serialized with 17 significant digits (lossless float64
 round trip) and LF line endings, so identical configs give byte-identical
 files.  Exit status: 0 on success, 2 when an enforced residual exceeds
-its tolerance (the violation is named on stderr), 1 for config or I/O
-errors.  Residual tolerances follow the invariant units: first-law and
-heat-split thresholds scale with omega0, the work-split threshold does
-not.
+its tolerance or the oracle horizon reaches the comb revival time (the
+violation is named on stderr), 1 for config or I/O errors.  Residual
+tolerances follow the invariant units: first-law and heat-split
+thresholds scale with omega0, the work-split threshold does not.
 """
 
 from __future__ import annotations
@@ -482,6 +482,16 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
         f"window_ok = {int(otraj.window_ok)}  "
         f"recurrence_ok = {int(otraj.recurrence_ok)}"
     )
+    # The window flag stays informational: the default window captures
+    # 0.9968 of the pulse, below the oracle's 0.999 capture threshold.
+    if not otraj.recurrence_ok:
+        revival = 2.0 * math.pi / mode_grid.spacing
+        print(
+            f"residual violation: recurrence: t_max={grid.tf:g} is past the "
+            f"comb revival time 2 pi/d_omega={revival:g}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -489,7 +499,8 @@ def run(config: RunConfig) -> int:
     """Execute one config; write artifacts next to the ``out`` prefix.
 
     Returns the process exit status: 0 on success, 2 when an enforced
-    residual exceeds its tolerance.
+    residual exceeds its tolerance or the oracle horizon reaches the comb
+    revival time.
     """
     system = make_system(config.gamma0, omega0=config.omega0, rho0=config.rho0)
     if config.mode == "single":

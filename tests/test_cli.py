@@ -254,6 +254,19 @@ def test_oracle_mode_drift_violation_exits_2(workdir, capsys):
     assert "norm_drift" in capsys.readouterr().err
 
 
+def test_oracle_mode_past_revival_exits_2(workdir, capsys):
+    # Comb spacing 0.2: the discrete continuum revives at 2 pi/0.2 = 31.4.
+    cfg = _write(
+        workdir,
+        "mode=oracle_check\nhalf_width=10\nn_modes=101\nt_max=35\nout=rev\n",
+    )
+    assert main([cfg]) == 2
+    captured = capsys.readouterr()
+    assert "recurrence_ok = 0" in captured.out
+    assert "residual violation: recurrence" in captured.err
+    assert (workdir / "rev_oracle.csv").exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import and no CLI mode needs it.
     code = "import sys, photon_work.cli; print('scipy.signal' in sys.modules)"
