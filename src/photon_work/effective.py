@@ -10,10 +10,10 @@ time-dependent decay rate ``Gamma(t)``:
 A negative ``Gamma(t)`` marks non-Markovian backflow (coherent absorption
 from the pulse).  Ratios are evaluated through the conjugate product
 ``z = phi psi*`` divided by the population, which is numerically stable;
-samples where the population falls below ``eta`` times its maximum are
-masked invalid because the ratio quantities are undefined there.  The
-interaction energy ``<H_int>(t) = 2 hbar g Im[phi psi*]`` stays regular
-at psi = 0 and is never masked.
+samples where the population falls below ``DEFAULT_ETA`` times its
+maximum are masked invalid because the ratio quantities are undefined
+there.  The interaction energy ``<H_int>(t) = 2 hbar g Im[phi psi*]``
+stays regular at psi = 0 and is never masked.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class EffectiveTrajectory:
     pop : ndarray
         Excited-state population ``|psi(t_k)|^2``.
     valid_mask : ndarray
-        Boolean mask, True where ``pop >= eta * max(pop)``.
+        Boolean mask, True where ``pop >= DEFAULT_ETA * max(pop)``.
     """
 
     grid: TimeGrid
@@ -65,15 +65,13 @@ class EffectiveTrajectory:
     valid_mask: np.ndarray
 
 
-def effective_trajectory(
-    traj: AmplitudeTrajectory, eta: float = DEFAULT_ETA
-) -> EffectiveTrajectory:
+def effective_trajectory(traj: AmplitudeTrajectory) -> EffectiveTrajectory:
     """Derive all effective parameters from an amplitude trajectory."""
     z = traj.phi * np.conj(traj.psi)
     pop = np.abs(traj.psi) ** 2
     g = traj.system.g
     pmax = pop.max() if pop.size else 0.0
-    valid = pop >= eta * pmax if pmax > 0.0 else np.zeros(pop.shape, dtype=bool)
+    valid = pop >= DEFAULT_ETA * pmax if pmax > 0.0 else np.zeros(pop.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_eff = np.where(valid, g * z.imag / pop, np.nan)
         gamma_t = np.where(valid, traj.system.gamma0 + 2.0 * g * z.real / pop, np.nan)

@@ -74,15 +74,16 @@ __all__ = [
 class BlochTrajectory:
     """Bloch pair solution in the rotating frame at omega0.
 
-    ``alpha`` is the drive actually applied at each node (including any
-    amplitude scaling), so downstream functionals stay consistent with
-    the integration even off the matched single-photon normalization.
+    The drive applied at node k is ``amplitude_scale`` times the envelope
+    of ``pulse`` at k h.  Downstream functionals recompute it from the
+    same times, so they stay consistent with the integration even off the
+    matched single-photon normalization.
     """
 
     grid: TimeGrid
     rho_eg: np.ndarray
     rho_ee: np.ndarray
-    alpha: np.ndarray
+    amplitude_scale: float
     system: SystemParams
     pulse: PulseParams
 
@@ -186,6 +187,18 @@ def _scan(maps, state):
     return states.transpose(1, 2, 0).reshape(3, nblocks * size)[:, :m]
 
 
+def _drive(traj: BlochTrajectory, sl: slice) -> np.ndarray:
+    """Drive applied at the nodes in ``sl``, at integrate_bloch's times k h.
+
+    Callers bind the result to a name before multiplying by it: numpy
+    would otherwise write the product into this temporary's buffer, and
+    that in-place loop can round differently in the last bit.
+    """
+    envelope = PulseEnvelope(traj.pulse, traj.system)
+    t = np.arange(sl.start, sl.stop) * traj.grid.spacing
+    return traj.amplitude_scale * envelope_at(envelope, t)
+
+
 def integrate_bloch(
     system: SystemParams,
     envelope: PulseEnvelope,
@@ -225,14 +238,11 @@ def integrate_bloch(
     n = grid.n
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
-    alpha = np.empty(n, dtype=np.complex128)
-    alpha[:1] = amplitude_scale * envelope_at(envelope, 0.0)
     state = [0.0, 0.0, 0.0]
     for lo in range(0, n - 1, _CHUNK):
         hi = min(lo + _CHUNK, n - 1)
         t = np.arange(lo, hi + 1) * h
-        alpha[lo + 1 : hi + 1] = amplitude_scale * envelope_at(envelope, t[1:])
-        nodes = alpha[lo : hi + 1]
+        nodes = amplitude_scale * envelope_at(envelope, t)
         mid = amplitude_scale * envelope_at(envelope, t[:-1] + 0.5 * h)
         u = (2.0 * system.g) * np.stack((nodes[:-1], mid, nodes[1:]))
         states = _scan(_rk4_maps(u, h, system.gamma0), state)
@@ -244,7 +254,7 @@ def integrate_bloch(
         grid=grid,
         rho_eg=rho_eg,
         rho_ee=rho_ee,
-        alpha=alpha,
+        amplitude_scale=amplitude_scale,
         system=system,
         pulse=params,
     )
@@ -303,21 +313,20 @@ def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     return pulse.omegaL * 2.0 * system.g * _spectral_overlaps(system, pulse)[1]
 
 
-def transition_frequency_eg(
-    traj: BlochTrajectory, eta: float = DEFAULT_ETA
-) -> np.ndarray:
+def transition_frequency_eg(traj: BlochTrajectory) -> np.ndarray:
     """Instantaneous emission frequency omega_s^eg(t) in product form.
 
     omega_s^eg = omega0 + g (1 - 2 rho_ee) Im[alpha rho_eg*] / |rho_eg|^2;
-    NaN where |rho_eg|^2 falls below ``eta`` times its maximum.
+    NaN where |rho_eg|^2 falls below ``DEFAULT_ETA`` times its maximum.
     """
     mod2 = np.abs(traj.rho_eg) ** 2
     mmax = float(mod2.max()) if traj.grid.n else 0.0
-    u = traj.alpha * np.conj(traj.rho_eg)
+    alpha = _drive(traj, slice(0, traj.grid.n))
+    u = alpha * np.conj(traj.rho_eg)
     occ = 1.0 - 2.0 * traj.rho_ee
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(
-            mod2 > eta * mmax, traj.system.g * occ * u.imag / mod2, np.nan
+            mod2 > DEFAULT_ETA * mmax, traj.system.g * occ * u.imag / mod2, np.nan
         )
     return traj.system.omega0 + shift
 
@@ -326,7 +335,6 @@ def work_total_and_decomposition(
     traj: BlochTrajectory,
     envelope: PulseEnvelope,
     allow_partial: bool = False,
-    eta: float = DEFAULT_ETA,
 ) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
@@ -335,9 +343,9 @@ def work_total_and_decomposition(
     ``w = d<H_int>/dt + reac + abs`` exactly as array algebra (the guarded
     ratio terms cancel), so ``residual_decomposition`` is rounding noise.
     The drive derivative uses the exact envelope relation
-    ``d(alpha~)/dt = -(delta/2 + i deltaL) alpha~`` applied to the stored
-    drive samples, which keeps everything consistent with any amplitude
-    scaling used at integration time.
+    ``d(alpha~)/dt = -(delta/2 + i deltaL) alpha~`` applied to the drive
+    samples of the integration, which keeps everything consistent with
+    any amplitude scaling used at integration time.
     """
     params = envelope.params
     gamma0 = traj.system.gamma0
@@ -348,12 +356,13 @@ def work_total_and_decomposition(
 
     check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
     mod2_full = np.abs(traj.rho_eg) ** 2
-    threshold = eta * float(mod2_full.max())
+    threshold = DEFAULT_ETA * float(mod2_full.max())
 
     def integrands(sl):
         pp = traj.rho_ee[sl]
         mod2 = mod2_full[sl]
-        u = traj.alpha[sl] * np.conj(traj.rho_eg[sl])
+        alpha = _drive(traj, sl)
+        u = alpha * np.conj(traj.rho_eg[sl])
         reu = u.real
         imu = u.imag
         # Im[(da/dt) s*] from the exact envelope derivative.

@@ -22,7 +22,8 @@ Integrand forms, with z = phi psi*, p = |psi|^2, r = Re z Im z / p:
     (dp/dt) delta_eff = -g gamma0 Im z - 2 g^2 r
 
 The ratio term r is bounded by |phi|^2 / 2 and tends to 0 at psi -> 0;
-it is set to 0 on samples where p falls below ``eta`` times its maximum.
+it is set to 0 on samples where p falls below ``DEFAULT_ETA`` times its
+maximum.
 The same guarded array enters every functional that contains it, so the
 guard never perturbs the decomposition residuals, and its contribution
 to the values themselves is below the cycle-tolerance tail level.
@@ -110,7 +111,6 @@ def check_full_cycle(pop_end: float, allow_partial: bool) -> None:
 def thermo_report(
     traj: AmplitudeTrajectory,
     allow_partial: bool = False,
-    eta: float = DEFAULT_ETA,
 ) -> ThermoReport:
     """Full energy balance with decomposition residuals.
 
@@ -120,8 +120,6 @@ def thermo_report(
     allow_partial : bool
         Accept a grid whose end population exceeds ``FULL_CYCLE_POP``
         (boundary terms are then part of the reported values).
-    eta : float
-        Relative population threshold for the bounded ratio term.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
@@ -131,7 +129,7 @@ def thermo_report(
 
     pop = np.abs(traj.psi) ** 2
     check_full_cycle(float(pop[-1]), allow_partial)
-    threshold = eta * float(pop.max())
+    threshold = DEFAULT_ETA * float(pop.max())
 
     def integrands(sl):
         p = pop[sl]

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import photon_work
 from photon_work.analysis import compare_equivalences
-from photon_work.cli import RunConfig, _fmt, main, parse_config
+from photon_work.cli import _BLOCK, RunConfig, _write_csv, main, parse_config
 from photon_work.model import make_pulse, make_system
 
 
@@ -63,14 +68,45 @@ def test_parse_errors_name_the_line(text, fragment):
     assert fragment in str(excinfo.value)
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_float_format_round_trips(x):
-    assert float(_fmt(x)) == x
+def test_readme_keys_table_names_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Keys", 1)[1].split("\n\n", 2)[1]
+    documented = {
+        key
+        for row in table.splitlines()[2:]
+        for key in re.findall(r"`(\w+)`", row.split("|")[1])
+    }
+    assert documented == {f.name for f in fields(RunConfig)} | {"deltaL"}
+    for key in documented:
+        try:
+            parse_config(f"{key}=1")
+        except ValueError as exc:
+            assert "unknown key" not in str(exc)
+
+
+def _csv_lines(columns) -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            _write_csv(path, columns)
+        with open(path, newline="") as fh:
+            return fh.read().split("\n")
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_float_format_round_trips(values):
+    lines = _csv_lines({"x": np.array(values), "y": values[::-1]})
+    assert lines[0] == "x,y" and lines[-1] == ""
+    rows = [[float(f) for f in line.split(",")] for line in lines[1:-1]]
+    assert rows == [list(pair) for pair in zip(values, values[::-1])]
 
 
 def test_format_ints_and_bools():
-    assert _fmt(True) == "1" and _fmt(False) == "0"
-    assert _fmt(7) == "7"
+    # One row past a block: flags are 0/1, integers print as integers.
+    k = np.arange(_BLOCK + 1)
+    lines = _csv_lines({"k": k, "even": k % 2 == 0, "flag": [True] * k.size})
+    assert lines[0] == "k,even,flag"
+    assert lines[1:-1] == [f"{i},{1 - i % 2},1" for i in k]
 
 
 @pytest.fixture()
@@ -198,7 +234,7 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
     assert main([cfg]) == 0
     system = make_system()
     rep = compare_equivalences(system, make_pulse(0.1, 100.2, system))
-    expected = (
+    expected = [
         0.1,
         rep.w1,
         rep.w_reac_alpha,
@@ -213,9 +249,9 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
         rep.regime.max_pop_quantum,
         rep.regime.max_pop_semiclassical,
         rep.regime.in_regime,
-    )
+    ]
     lines = (workdir / "eqd_equivalence.csv").read_text().splitlines()
-    assert lines[1] == ",".join(_fmt(v) for v in expected)
+    assert [float(field) for field in lines[1].split(",")] == expected
 
 
 def test_bandwidth_scan_mode(workdir):
@@ -265,6 +301,37 @@ def test_oracle_mode_past_revival_exits_2(workdir, capsys):
     assert "recurrence_ok = 0" in captured.out
     assert "residual violation: recurrence" in captured.err
     assert (workdir / "rev_oracle.csv").exists()
+
+
+def test_oracle_mode_error_past_tolerance_exits_2(workdir, capsys):
+    # Under the revival time (31.4) but on a coarse comb: |psi| is off by
+    # 2.5e-2, past criterion 4's 1e-2.
+    cfg = _write(
+        workdir,
+        "mode=oracle_check\nhalf_width=10\nn_modes=101\nt_max=20\nout=err\n",
+    )
+    assert main([cfg]) == 2
+    captured = capsys.readouterr()
+    assert "recurrence_ok = 1" in captured.out
+    max_abs_err = float(captured.out.split("max_abs_err = ")[1].split()[0])
+    assert max_abs_err > 1e-2
+    assert "residual violation: abs_err" in captured.err
+    assert "recurrence" not in captured.err
+
+
+def test_oracle_csv_abs_err_is_the_difference_of_its_columns(workdir):
+    # Detuned, so psi is complex and every column takes a modulus.
+    cfg = _write(
+        workdir,
+        "mode=oracle_check\ndeltaL=0.5\nhalf_width=100\nn_modes=1001\n"
+        "t_max=1.0\nout=orc\n",
+    )
+    assert main([cfg]) == 0
+    lines = (workdir / "orc_oracle.csv").read_text().splitlines()
+    assert lines[0] == "t,psi_abs,psi_closed_abs,abs_err,norm_drift"
+    for line in lines[1:]:
+        _, psi_abs, closed_abs, abs_err, _ = map(float, line.split(","))
+        assert abs_err == abs(psi_abs - closed_abs)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
