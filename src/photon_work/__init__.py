@@ -6,7 +6,7 @@ flow split into work (dynamic level shift) and generalized heat
 (absorption and emission), all decompositions exact at quadrature level.
 Semiclassical side: the same emitter under a coherent pulse of identical
 envelope, via the optical Bloch equations and linear response.  A
-discretized-continuum propagator provides brute-force ground truth.
+discretized-continuum eigen-expansion provides brute-force ground truth.
 """
 
 from .analysis import (
@@ -39,7 +39,6 @@ from .oracle import (
     OracleTrajectory,
     init_single_photon,
     make_mode_grid,
-    oracle_grid,
     propagate,
 )
 from .pulse import PulseEnvelope, envelope_at, lab_envelope_at, normalization, spectrum_at
@@ -91,7 +90,6 @@ __all__ = [
     "make_pulse",
     "make_system",
     "normalization",
-    "oracle_grid",
     "parse_config",
     "propagate",
     "run",

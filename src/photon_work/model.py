@@ -8,8 +8,7 @@ rate through ``gamma0 = 4 * pi * g**2 * rho0``.
 
 Every fixed-step grid is sized against the fastest rate of the run,
 ``max(gamma0, delta, |deltaL|)``: default steps take a fraction 0.02 of
-its inverse and the integrators refuse steps above 0.05 of it.  The
-discretized continuum is instead limited by its widest mode detuning.
+its inverse and the integrators refuse steps above 0.05 of it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "uniform_grid",
     "rate_scale",
     "default_step",
-    "oracle_step",
     "check_step",
 ]
 
@@ -37,8 +35,6 @@ MAX_STEP_FRACTION = 0.05
 # Default grid step, in units of the fastest rate, and its absolute cap.
 DEFAULT_STEP_FRACTION = 0.02
 DEFAULT_STEP_CAP = 1e-3
-# Oracle step: phase advance per step of the fastest mode stays below 0.02.
-ORACLE_STEP_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -191,12 +187,6 @@ def rate_scale(system: SystemParams, pulse: PulseParams) -> float:
 def default_step(rate: float, cap: float = DEFAULT_STEP_CAP) -> float:
     """Grid step ``min(cap, 0.02 / rate)``, well inside the integrator guard."""
     return min(cap, DEFAULT_STEP_FRACTION / rate)
-
-
-def oracle_step(half_width: float, gamma0: float) -> float:
-    """Largest step the discretized continuum allows: the window edge,
-    not the pulse, sets the stiffest frequency."""
-    return ORACLE_STEP_FRACTION / max(half_width, gamma0)
 
 
 def check_step(step: float, limit: float, **rates: float) -> None:

@@ -24,13 +24,14 @@ from photon_work.dynamics import (
     integrate_psi,
 )
 from photon_work.effective import EffectiveTrajectory, effective_trajectory
-from photon_work.model import PulseParams, SystemParams, make_pulse, make_system
-from photon_work.oracle import (
-    init_single_photon,
-    make_mode_grid,
-    oracle_grid,
-    propagate,
+from photon_work.model import (
+    PulseParams,
+    SystemParams,
+    make_pulse,
+    make_system,
+    uniform_grid,
 )
+from photon_work.oracle import init_single_photon, make_mode_grid, propagate
 from photon_work.pulse import PulseEnvelope
 from photon_work.semiclassical import (
     SemiclassicalReport,
@@ -161,8 +162,9 @@ def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
     t0 = time.perf_counter()
     mode_grid = make_mode_grid(system, half_width=half_width, n_modes=n_modes)
     state = init_single_photon(mode_grid, envelope)
-    grid = oracle_grid(mode_grid, system, t_max)
-    traj = propagate(state, mode_grid, system, grid)
+    # Sampled at 0.02 / W, the steps criterion 4 was first checked on.
+    grid = uniform_grid(t_max, 0.02 / half_width)
+    traj = propagate(state, mode_grid, grid)
     runtime = time.perf_counter() - t0
     closed = closed_form_psi(system, pulse, grid.times())
     return OracleRun(

@@ -68,6 +68,42 @@ def test_parse_errors_name_the_line(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+_FLOAT_KEYS = sorted(
+    {f.name for f in fields(RunConfig) if f.type in ("float", "float | None", "tuple")}
+    | {"deltaL"}
+)
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_values_are_refused(key, value):
+    if key.endswith("_values"):
+        value = f"0.1,{value}"
+    with pytest.raises(ValueError, match=rf"^{key} must be finite \(line 2\)$"):
+        parse_config(f"mode=single\n{key}={value}\n")
+
+
+def test_non_finite_t_max_is_refused_in_oracle_mode(workdir, capsys):
+    cfg = _write(workdir, "mode=oracle_check\nt_max=inf\n")
+    assert main([cfg]) == 1
+    assert "error: t_max must be finite (line 2)" in capsys.readouterr().err
+
+
+def test_non_finite_delta_is_refused_in_single_mode(workdir, capsys):
+    cfg = _write(workdir, "mode=single\ndelta=inf\n")
+    assert main([cfg]) == 1
+    assert "error: delta must be finite (line 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--step", "--cycle-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_overrides_are_refused(workdir, capsys, flag, value):
+    cfg = _write(workdir, "mode=single\n")
+    assert main([cfg, flag, value]) == 1
+    key = flag[2:].replace("-", "_")
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
 def test_readme_keys_table_names_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("### Keys", 1)[1].split("\n\n", 2)[1]
@@ -272,12 +308,27 @@ def test_oracle_mode_clamps_step(workdir, capsys):
     )
     assert main([cfg]) == 0
     out = capsys.readouterr().out
-    # The default 1e-3 step would trip the propagation guard; the mode
-    # clamps to the window rate instead of failing.
+    # The expansion is exact in time, so the default 1e-3 step needs no
+    # clamp to the window rate.
     assert "recurrence_ok = 1" in out
     drift = float(out.split("max_norm_drift = ")[1].split()[0])
     assert drift < 1e-9
     assert (workdir / "orc_oracle.csv").exists()
+
+
+def test_oracle_rows_follow_the_requested_step(workdir):
+    # t_max = 1 at the default 1e-3 step is 1001 samples; every 100th is
+    # a row: t = 0, 0.1, ..., 1.
+    cfg = _write(
+        workdir,
+        "mode=oracle_check\nhalf_width=100\nn_modes=1001\nt_max=1.0\n"
+        "traj_stride=100\nout=orc\n",
+    )
+    assert main([cfg]) == 0
+    rows = (workdir / "orc_oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 11
+    times = [float(row.split(",")[0]) for row in rows]
+    np.testing.assert_allclose(times, np.arange(11) * 0.1, rtol=0.0, atol=1e-12)
 
 
 def test_oracle_mode_drift_violation_exits_2(workdir, capsys):

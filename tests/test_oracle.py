@@ -1,4 +1,5 @@
-"""Discretized-continuum ground truth: geometry, flags, convergence."""
+"""Discretized-continuum ground truth: geometry, flags, convergence, and
+the invariants of its eigen-expansion."""
 
 from __future__ import annotations
 
@@ -10,13 +11,25 @@ import pytest
 from photon_work.dynamics import closed_form_psi
 from photon_work.model import make_pulse, make_system, uniform_grid
 from photon_work.oracle import (
+    GlobalState,
     NormDriftError,
+    _eigenvalues,
+    _expand,
+    _pole_sum,
     init_single_photon,
     make_mode_grid,
-    oracle_grid,
     propagate,
 )
 from photon_work.pulse import PulseEnvelope
+
+# Small combs for the expansion invariants: (half_width, n_modes, delta,
+# deltaL, initial emitter amplitude): one resonant, one detuned, and one
+# narrower than the linewidth, whose edge roots lie spacings beyond the comb.
+SMALL_COMBS = {
+    "resonant": (10.0, 41, 1.0, 0.0, 0.0),
+    "detuned": (10.0, 60, 0.5, 3.0, 0.6),
+    "narrow": (0.5, 21, 1.0, 0.0, 0.0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +47,8 @@ def w50(sys1, pulse1):
     """Half-size window run shared by the convergence and heat checks."""
     mg = make_mode_grid(sys1, half_width=50.0, n_modes=2001)
     state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
-    grid = oracle_grid(mg, sys1, 10.0)
-    return mg, state, grid, propagate(state, mg, sys1, grid)
+    grid = uniform_grid(10.0, 1e-3)
+    return mg, state, grid, propagate(state, mg, grid)
 
 
 def test_mode_grid_geometry(sys1):
@@ -74,7 +87,7 @@ def test_wide_window_is_flagged_valid(sys1, pulse1):
     state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
     assert state.captured_mass > 0.999
     assert state.window_ok
-    traj = propagate(state, mg, sys1, oracle_grid(mg, sys1, 1.0))
+    traj = propagate(state, mg, uniform_grid(1.0, 1e-3))
     assert traj.valid
     assert traj.max_drift() < 1e-9
 
@@ -85,8 +98,8 @@ def test_error_shrinks_as_window_grows(sys1, pulse1, w50, oracle_pair):
     just in modulus."""
     mg25 = make_mode_grid(sys1, half_width=25.0, n_modes=1001)
     state25 = init_single_photon(mg25, PulseEnvelope(pulse1, sys1))
-    grid25 = oracle_grid(mg25, sys1, 10.0)
-    traj25 = propagate(state25, mg25, sys1, grid25)
+    grid25 = uniform_grid(10.0, 1e-3)
+    traj25 = propagate(state25, mg25, grid25)
     err25 = np.max(np.abs(traj25.psi - closed_form_psi(sys1, pulse1, grid25.times())))
 
     _, _, grid50, traj50 = w50
@@ -102,7 +115,7 @@ def test_recurrence_flag_on_coarse_comb(sys1, pulse1):
     # Spacing 0.5 revives at 2 pi / 0.5 = 12.6, inside a 13-long run.
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
     state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
-    traj = propagate(state, mg, sys1, oracle_grid(mg, sys1, 13.0))
+    traj = propagate(state, mg, uniform_grid(13.0, 1e-3))
     assert not traj.recurrence_ok
     assert not traj.valid
 
@@ -110,16 +123,21 @@ def test_recurrence_flag_on_coarse_comb(sys1, pulse1):
 def test_norm_drift_tolerance_is_enforced(sys1, pulse1):
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
     state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
-    grid = oracle_grid(mg, sys1, 13.0)
+    grid = uniform_grid(13.0, 1e-3)
+    # The expansion of this comb keeps norm and rebuilds its initial state
+    # to about 3e-16, so only a tolerance below that trips the gate.
     with pytest.raises(NormDriftError, match="norm drift"):
-        propagate(state, mg, sys1, grid, drift_tol=1e-15)
+        propagate(state, mg, grid, drift_tol=1e-16)
 
 
-def test_step_guard(sys1, pulse1):
+def test_any_step_samples_the_same_trajectory(sys1, pulse1):
+    """The expansion is exact in time: a step of 0.1, a radian of phase
+    per step at the window edge, samples the same psi as a step of 1e-3."""
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
     state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
-    with pytest.raises(ValueError, match="step .* too large"):
-        propagate(state, mg, sys1, uniform_grid(1.0, 1e-2))
+    coarse = propagate(state, mg, uniform_grid(2.0, 1e-1))
+    fine = propagate(state, mg, uniform_grid(2.0, 1e-3))
+    np.testing.assert_allclose(coarse.psi, fine.psi[::100], rtol=0.0, atol=1e-14)
 
 
 def test_dark_channel_is_exactly_dark(sys1, w50):
@@ -142,3 +160,115 @@ def test_emitted_fraction_matches_closed_form(sys1, pulse1, w50):
     )
     assert emitted == pytest.approx(ref, rel=1e-2)
     assert 0.9 < ref < 1.0  # nearly the whole photon has been re-emitted by t = 10
+
+
+# Step-by-step RK4 of the coupled sector: the reference that the
+# eigen-expansion must reproduce.
+def _oracle_loop(h, gbar, dets, phi, psi, psi_out, norm_out):
+    steps = psi_out.shape[0] - 1
+    hh = 0.5 * h
+    h6 = h / 6.0
+    rot = -1j * dets
+    norm_out[0] = abs(psi) ** 2 + float(np.sum(phi.real**2 + phi.imag**2))
+    psi_out[0] = psi
+    for m in range(steps):
+        k1p = rot * phi + gbar * psi
+        k1a = -gbar * phi.sum()
+        y = phi + hh * k1p
+        ya = psi + hh * k1a
+        k2p = rot * y + gbar * ya
+        k2a = -gbar * y.sum()
+        y = phi + hh * k2p
+        ya = psi + hh * k2a
+        k3p = rot * y + gbar * ya
+        k3a = -gbar * y.sum()
+        y = phi + h * k3p
+        ya = psi + h * k3a
+        k4p = rot * y + gbar * ya
+        k4a = -gbar * y.sum()
+        phi = phi + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        psi = psi + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
+        psi_out[m + 1] = psi
+        norm_out[m + 1] = abs(psi) ** 2 + float(np.sum(np.abs(phi) ** 2))
+    return phi
+
+
+def _small_comb(sys1, name):
+    """Comb and a unit-norm state; the emitter may start partly excited."""
+    half_width, n_modes, delta, deltaL, psi0 = SMALL_COMBS[name]
+    mg = make_mode_grid(sys1, half_width=half_width, n_modes=n_modes)
+    pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
+    photon = init_single_photon(mg, PulseEnvelope(pulse, sys1))
+    scale = math.sqrt(1.0 - psi0**2)
+    return mg, GlobalState(psi=complex(psi0), phis=scale * photon.phis)
+
+
+def test_closed_form_pole_sum_matches_direct_sum():
+    """The digamma/cot form of sum_k 1/(z - k) equals the term-by-term
+    sum within 1e-12, relative to the sum of the terms' moduli (the scale
+    of the rounding of either sum)."""
+    rng = np.random.default_rng(6)
+    for n in (41, 60, 4001):
+        anchor = rng.integers(0, n, 500)
+        u = rng.uniform(-0.5, 0.5, 500)
+        u[:4] = (0.5, -0.5, 1e-3, -1e-3)
+        terms = 1.0 / (np.subtract.outer(anchor.astype(float), np.arange(n)) + u[:, None])
+        err = np.abs(_pole_sum(n, anchor, u) - terms.sum(axis=1))
+        assert np.all(err <= 1e-12 * np.abs(terms).sum(axis=1)), n
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_COMBS))
+def test_eigenvalues_interlace_the_comb(sys1, name):
+    """One eigenvalue in each gap of the comb and one beyond each edge,
+    N + 1 in all, and each equals the dense eigensolver's."""
+    mg, _ = _small_comb(sys1, name)
+    n = mg.n_modes
+    dets = mg.detunings()
+    anchors, offsets = _eigenvalues(mg)
+    lam = dets[anchors] + mg.spacing * offsets
+    assert len(lam) == n + 1
+    assert lam[0] < dets[0] and lam[-1] > dets[-1]
+    assert np.all((dets[:-1] < lam[1:-1]) & (lam[1:-1] < dets[1:]))
+    arrow = np.diag(np.concatenate([[0.0], dets]))
+    arrow[0, 1:] = arrow[1:, 0] = -mg.coupling
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(arrow), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_COMBS))
+def test_expansion_keeps_norm_and_rebuilds_the_state(sys1, name):
+    """sum |c_j|^2 plus the dark mass is 1, and V c rebuilds x0."""
+    mg, state = _small_comb(sys1, name)
+    anchors, offsets = _eigenvalues(mg)
+    chi0 = -1j * state.psi
+    phi0 = state.phis[0]
+    weights, norm, rebuilt, _ = _expand(
+        mg, anchors, offsets, chi0, phi0, np.ones(len(anchors))
+    )
+    dark_mass = float(np.sum(np.abs(state.phis[1]) ** 2))
+    assert abs(1.0 - norm - dark_mass) <= 1e-12
+    residual = math.sqrt(
+        abs(weights.sum() - chi0) ** 2 + float(np.sum(np.abs(rebuilt - phi0) ** 2))
+    )
+    assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_COMBS))
+def test_expansion_matches_rk4(sys1, name):
+    """psi and the final even channel agree with fine-step RK4 within
+    1e-10, a tolerance set before the expansion was written."""
+    mg, state = _small_comb(sys1, name)
+    grid = uniform_grid(2.0, 2.5e-4)
+    traj = propagate(state, mg, grid)
+    psi_ref = np.empty(grid.n, dtype=np.complex128)
+    norm_ref = np.empty(grid.n)
+    phi_ref = _oracle_loop(
+        grid.spacing,
+        mg.coupling,
+        mg.detunings(),
+        state.phis[0],
+        complex(state.psi),
+        psi_ref,
+        norm_ref,
+    )
+    np.testing.assert_allclose(traj.psi, psi_ref, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(traj.final_state.phis[0], phi_ref, rtol=0.0, atol=1e-10)
