@@ -41,13 +41,12 @@ from .oracle import (
     make_mode_grid,
     propagate,
 )
-from .pulse import PulseEnvelope, envelope_at, lab_envelope_at, normalization, spectrum_at
+from .pulse import envelope_at, normalization
 from .semiclassical import (
     BlochTrajectory,
     SemiclassicalReport,
     integrate_bloch,
     susceptibility,
-    transition_frequency_eg,
     work_absorptive,
     work_reactive,
     work_total_and_decomposition,
@@ -67,7 +66,6 @@ __all__ = [
     "ModeGrid",
     "NormDriftError",
     "OracleTrajectory",
-    "PulseEnvelope",
     "PulseParams",
     "RegimeFlags",
     "RunConfig",
@@ -85,7 +83,6 @@ __all__ = [
     "init_single_photon",
     "integrate_bloch",
     "integrate_psi",
-    "lab_envelope_at",
     "make_mode_grid",
     "make_pulse",
     "make_system",
@@ -93,10 +90,8 @@ __all__ = [
     "parse_config",
     "propagate",
     "run",
-    "spectrum_at",
     "susceptibility",
     "thermo_report",
-    "transition_frequency_eg",
     "uniform_grid",
     "work_absorptive",
     "work_reactive",

@@ -32,7 +32,6 @@ import numpy as np
 
 from .dynamics import closed_form_trajectory, full_cycle_grid
 from .model import PulseParams, SystemParams, default_step, make_pulse, rate_scale
-from .pulse import PulseEnvelope
 from .semiclassical import integrate_bloch, work_total_and_decomposition
 from .thermo import ThermoReport, thermo_report
 
@@ -141,9 +140,8 @@ def compare_equivalences(
     max_pop_q = float(np.max(np.abs(traj.psi) ** 2))
     del traj
 
-    envelope = PulseEnvelope(pulse, system)
-    btraj = integrate_bloch(system, envelope, grid)
-    srep = work_total_and_decomposition(btraj, envelope)
+    btraj = integrate_bloch(system, pulse, grid)
+    srep = work_total_and_decomposition(btraj)
     max_pop_s = float(np.max(btraj.rho_ee))
     del btraj
 
@@ -199,18 +197,10 @@ def detuning_scan(
     on scheduling.
     """
     values = [float(d) for d in deltaL_list]
-    workers = _worker_count(len(values))
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_point, system, delta, d, step, cycle_tol)
-                for d in values
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [
-            _scan_point(system, delta, d, step, cycle_tol) for d in values
-        ]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
+        reports = list(
+            pool.map(lambda d: _scan_point(system, delta, d, step, cycle_tol), values)
+        )
 
     w1 = np.array([r.W1 for r in reports])
     pairs = []

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import (
-    MAX_STEP_FRACTION,
     PulseParams,
     SystemParams,
     TimeGrid,
@@ -29,7 +28,7 @@ from .model import (
     rate_scale,
     uniform_grid,
 )
-from .pulse import PulseEnvelope, envelope_at
+from .pulse import envelope_at
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -59,8 +58,6 @@ class AmplitudeTrajectory:
         Complex pulse envelope samples ``phi(0, t_k)``.
     system : SystemParams
     pulse : PulseParams
-    method : str
-        Either ``"closed_form"`` or ``"ode"``.
     """
 
     grid: TimeGrid
@@ -68,7 +65,6 @@ class AmplitudeTrajectory:
     phi: np.ndarray
     system: SystemParams
     pulse: PulseParams
-    method: str
 
 
 def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
@@ -110,14 +106,12 @@ def closed_form_trajectory(
 ) -> AmplitudeTrajectory:
     """Sample the closed form on a grid, with the envelope alongside."""
     times = grid.times()
-    env = PulseEnvelope(pulse, system)
     return AmplitudeTrajectory(
         grid=grid,
         psi=closed_form_psi(system, pulse, times),
-        phi=envelope_at(env, times),
+        phi=envelope_at(system, pulse, times),
         system=system,
         pulse=pulse,
-        method="closed_form",
     )
 
 
@@ -142,22 +136,15 @@ def integrate_psi(
     from scipy.signal import lfilter
 
     h = grid.spacing
-    check_step(
-        h,
-        MAX_STEP_FRACTION / rate_scale(system, pulse),
-        gamma0=system.gamma0,
-        delta=pulse.delta,
-        deltaL=pulse.deltaL,
-    )
+    check_step(h, system, pulse)
     mu = -0.5 * system.gamma0 * h
     # One-step amplification and drive weights of RK4 for y' = mu/h y + u(t).
     a_step = 1.0 + mu * (1.0 + mu * (0.5 + mu * (1.0 / 6.0 + mu / 24.0)))
     c_node = 1.0 + mu * (1.0 + mu * (0.5 + mu * 0.25))
     c_half = 4.0 + mu * (2.0 + mu * 0.5)
 
-    env = PulseEnvelope(pulse, system)
     times = grid.times()
-    phi = envelope_at(env, times)
+    phi = envelope_at(system, pulse, times)
     n = grid.n
     psi = np.empty(n, dtype=complex)
     psi[0] = 0.0
@@ -166,15 +153,13 @@ def integrate_psi(
     for i0 in range(0, n - 1, _CHUNK):
         i1 = min(i0 + _CHUNK, n - 1)
         t_half = (np.arange(i0, i1) + 0.5) * h
-        u_half = -g * envelope_at(env, t_half)
+        u_half = -g * envelope_at(system, pulse, t_half)
         u_lo = -g * phi[i0:i1]
         u_hi = -g * phi[i0 + 1 : i1 + 1]
         b_drive = (h / 6.0) * (c_node * u_lo + c_half * u_half + u_hi)
         seg, zi = lfilter([1.0], [1.0, -a_step], b_drive, zi=zi)
         psi[i0 + 1 : i1 + 1] = seg
-    return AmplitudeTrajectory(
-        grid=grid, psi=psi, phi=phi, system=system, pulse=pulse, method="ode"
-    )
+    return AmplitudeTrajectory(grid=grid, psi=psi, phi=phi, system=system, pulse=pulse)
 
 
 def _population_bound(system: SystemParams, pulse: PulseParams, t: float) -> float:

@@ -189,16 +189,19 @@ def default_step(rate: float, cap: float = DEFAULT_STEP_CAP) -> float:
     return min(cap, DEFAULT_STEP_FRACTION / rate)
 
 
-def check_step(step: float, limit: float, **rates: float) -> None:
-    """Refuse a step too coarse for the fastest rate.
+def check_step(step: float, system: SystemParams, pulse: PulseParams) -> None:
+    """Refuse a step too coarse for the fastest rate of a run.
 
     Raises
     ------
     ValueError
-        If ``step`` exceeds ``limit``; the message names ``rates``.
+        If ``step`` exceeds ``0.05 / rate_scale(system, pulse)``; the
+        message names the three rates.
     """
+    limit = MAX_STEP_FRACTION / rate_scale(system, pulse)
     if step > limit:
-        named = ", ".join(f"{key}={val:g}" for key, val in rates.items())
         raise ValueError(
-            f"step {step:g} too large: need step <= {limit:g} for rates ({named})"
+            f"step {step:g} too large: need step <= {limit:g} for rates "
+            f"(gamma0={system.gamma0:g}, delta={pulse.delta:g}, "
+            f"deltaL={pulse.deltaL:g})"
         )

@@ -1,56 +1,33 @@
-"""Single-photon (or coherent) pulse envelope at the emitter and its spectrum.
+"""Single-photon (or coherent) pulse envelope at the emitter.
 
 The pulse is a truncated exponential: it reaches the emitter at t = 0 and
-decays with bandwidth ``delta``.  All envelopes are stored in the frame
+decays with bandwidth ``delta``.  Envelopes are evaluated in the frame
 rotating at ``omega0``, which removes the only optical-frequency scale;
 amplitude ratios and populations are unchanged by the frame choice.
+Like every pulse-driven function, these take ``(system, pulse, ...)``:
+the system supplies ``rho0`` (normalization) and ``omega0`` (frame).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PulseParams, SystemParams
 
 __all__ = [
-    "PulseEnvelope",
     "normalization",
     "envelope_at",
-    "lab_envelope_at",
-    "spectrum_at",
 ]
 
 
-@dataclass(frozen=True)
-class PulseEnvelope:
-    """Pulse evaluated at the emitter position.
-
-    Evaluation is functional: ``envelope_at(env, t)`` returns the complex
-    rotating-frame amplitude at time ``t``.  The envelope is causal (zero
-    for t < 0) and its modulus is ``N * exp(-delta * t / 2)`` with
-    ``N = sqrt(2 pi rho0 delta)``.
-
-    Attributes
-    ----------
-    params : PulseParams
-        Bandwidth and detuning of the pulse.
-    system : SystemParams
-        Supplies ``rho0`` (normalization) and ``omega0`` (frame).
-    """
-
-    params: PulseParams
-    system: SystemParams
-
-
-def normalization(env: PulseEnvelope) -> float:
+def normalization(system: SystemParams, pulse: PulseParams) -> float:
     """Peak amplitude ``N = sqrt(2 pi rho0 delta)`` of the envelope."""
-    return math.sqrt(2.0 * math.pi * env.system.rho0 * env.params.delta)
+    return math.sqrt(2.0 * math.pi * system.rho0 * pulse.delta)
 
 
-def envelope_at(env: PulseEnvelope, t):
+def envelope_at(system: SystemParams, pulse: PulseParams, t):
     """Rotating-frame envelope value(s) at time(s) ``t``.
 
     Returns ``N * exp(-(delta/2 + i deltaL) t)`` for t >= 0 and 0 for
@@ -59,7 +36,8 @@ def envelope_at(env: PulseEnvelope, t):
 
     Parameters
     ----------
-    env : PulseEnvelope
+    system : SystemParams
+    pulse : PulseParams
     t : float or array_like
         Time(s), finite.
 
@@ -69,43 +47,9 @@ def envelope_at(env: PulseEnvelope, t):
         Complex amplitude(s); an array input returns an array.
     """
     tt = np.asarray(t, dtype=float)
-    amp = normalization(env)
-    decay = 0.5 * env.params.delta + 1j * env.params.deltaL
+    amp = normalization(system, pulse)
+    decay = 0.5 * pulse.delta + 1j * pulse.deltaL
     out = np.where(tt >= 0.0, amp * np.exp(-decay * np.maximum(tt, 0.0)), 0.0 + 0.0j)
     if np.isscalar(t) or tt.ndim == 0:
-        return complex(out)
-    return out
-
-
-def lab_envelope_at(env: PulseEnvelope, t):
-    """Lab-frame value ``envelope_at(env, t) * exp(-i omega0 t)``."""
-    tt = np.asarray(t, dtype=float)
-    out = envelope_at(env, tt) * np.exp(-1j * env.system.omega0 * tt)
-    if np.isscalar(t) or tt.ndim == 0:
-        return complex(out)
-    return out
-
-
-def spectrum_at(env: PulseEnvelope, omega):
-    """Frequency-domain amplitude of the pulse.
-
-    The envelope Fourier transforms to a Lorentzian amplitude
-    ``sqrt(rho0 delta) / (delta/2 + i (omegaL - omega))`` whose squared
-    modulus integrates to ``2 pi rho0`` (one excitation).
-
-    Parameters
-    ----------
-    env : PulseEnvelope
-    omega : float or array_like
-        Angular frequency(ies), finite.
-
-    Returns
-    -------
-    complex or ndarray
-    """
-    ww = np.asarray(omega, dtype=float)
-    num = math.sqrt(env.system.rho0 * env.params.delta)
-    out = num / (0.5 * env.params.delta + 1j * (env.params.omegaL - ww))
-    if np.isscalar(omega) or ww.ndim == 0:
         return complex(out)
     return out

@@ -47,15 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import DEFAULT_ETA
-from .model import (
-    MAX_STEP_FRACTION,
-    PulseParams,
-    SystemParams,
-    TimeGrid,
-    check_step,
-    rate_scale,
-)
-from .pulse import PulseEnvelope, envelope_at
+from .model import PulseParams, SystemParams, TimeGrid, check_step
+from .pulse import envelope_at
 from .thermo import check_full_cycle, trapezoid_sums
 
 __all__ = [
@@ -66,7 +59,6 @@ __all__ = [
     "work_reactive",
     "work_absorptive",
     "work_total_and_decomposition",
-    "transition_frequency_eg",
 ]
 
 
@@ -194,14 +186,13 @@ def _drive(traj: BlochTrajectory, sl: slice) -> np.ndarray:
     would otherwise write the product into this temporary's buffer, and
     that in-place loop can round differently in the last bit.
     """
-    envelope = PulseEnvelope(traj.pulse, traj.system)
     t = np.arange(sl.start, sl.stop) * traj.grid.spacing
-    return traj.amplitude_scale * envelope_at(envelope, t)
+    return traj.amplitude_scale * envelope_at(traj.system, traj.pulse, t)
 
 
 def integrate_bloch(
     system: SystemParams,
-    envelope: PulseEnvelope,
+    pulse: PulseParams,
     grid: TimeGrid,
     amplitude_scale: float = 1.0,
 ) -> BlochTrajectory:
@@ -217,7 +208,7 @@ def integrate_bloch(
     Parameters
     ----------
     system : SystemParams
-    envelope : PulseEnvelope
+    pulse : PulseParams
         Supplies the drive alpha~(t) = scale * phi~(0, t).
     grid : TimeGrid
         Uniform grid; the step guard of the amplitude integrator applies.
@@ -226,15 +217,8 @@ def integrate_bloch(
         envelope; other values deliberately break that normalization
         (linear-response scaling tests).
     """
-    params = envelope.params
     h = grid.spacing
-    check_step(
-        h,
-        MAX_STEP_FRACTION / rate_scale(system, params),
-        gamma0=system.gamma0,
-        delta=params.delta,
-        deltaL=params.deltaL,
-    )
+    check_step(h, system, pulse)
     n = grid.n
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
@@ -242,8 +226,8 @@ def integrate_bloch(
     for lo in range(0, n - 1, _CHUNK):
         hi = min(lo + _CHUNK, n - 1)
         t = np.arange(lo, hi + 1) * h
-        nodes = amplitude_scale * envelope_at(envelope, t)
-        mid = amplitude_scale * envelope_at(envelope, t[:-1] + 0.5 * h)
+        nodes = amplitude_scale * envelope_at(system, pulse, t)
+        mid = amplitude_scale * envelope_at(system, pulse, t[:-1] + 0.5 * h)
         u = (2.0 * system.g) * np.stack((nodes[:-1], mid, nodes[1:]))
         states = _scan(_rk4_maps(u, h, system.gamma0), state)
         rho_eg.real[lo + 1 : hi + 1] = states[0]
@@ -256,7 +240,7 @@ def integrate_bloch(
         rho_ee=rho_ee,
         amplitude_scale=amplitude_scale,
         system=system,
-        pulse=params,
+        pulse=pulse,
     )
 
 
@@ -313,28 +297,8 @@ def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     return pulse.omegaL * 2.0 * system.g * _spectral_overlaps(system, pulse)[1]
 
 
-def transition_frequency_eg(traj: BlochTrajectory) -> np.ndarray:
-    """Instantaneous emission frequency omega_s^eg(t) in product form.
-
-    omega_s^eg = omega0 + g (1 - 2 rho_ee) Im[alpha rho_eg*] / |rho_eg|^2;
-    NaN where |rho_eg|^2 falls below ``DEFAULT_ETA`` times its maximum.
-    """
-    mod2 = np.abs(traj.rho_eg) ** 2
-    mmax = float(mod2.max()) if traj.grid.n else 0.0
-    alpha = _drive(traj, slice(0, traj.grid.n))
-    u = alpha * np.conj(traj.rho_eg)
-    occ = 1.0 - 2.0 * traj.rho_ee
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(
-            mod2 > DEFAULT_ETA * mmax, traj.system.g * occ * u.imag / mod2, np.nan
-        )
-    return traj.system.omega0 + shift
-
-
 def work_total_and_decomposition(
-    traj: BlochTrajectory,
-    envelope: PulseEnvelope,
-    allow_partial: bool = False,
+    traj: BlochTrajectory, allow_partial: bool = False
 ) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
@@ -345,14 +309,15 @@ def work_total_and_decomposition(
     The drive derivative uses the exact envelope relation
     ``d(alpha~)/dt = -(delta/2 + i deltaL) alpha~`` applied to the drive
     samples of the integration, which keeps everything consistent with
-    any amplitude scaling used at integration time.
+    any amplitude scaling used at integration time.  The system and the
+    pulse are read from ``traj``, so they are always those it was
+    integrated with.
     """
-    params = envelope.params
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
     g = traj.system.g
-    dec_re = 0.5 * params.delta
-    dec_im = params.deltaL
+    dec_re = 0.5 * traj.pulse.delta
+    dec_im = traj.pulse.deltaL
 
     check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
     mod2_full = np.abs(traj.rho_eg) ** 2

@@ -32,7 +32,6 @@ from photon_work.model import (
     uniform_grid,
 )
 from photon_work.oracle import init_single_photon, make_mode_grid, propagate
-from photon_work.pulse import PulseEnvelope
 from photon_work.semiclassical import (
     SemiclassicalReport,
     integrate_bloch,
@@ -100,9 +99,8 @@ def run_set(system) -> RunSet:
         del ode, traj
 
         t0 = time.perf_counter()
-        envelope = PulseEnvelope(pulse, system)
-        btraj = integrate_bloch(system, envelope, grid)
-        sreport = work_total_and_decomposition(btraj, envelope)
+        btraj = integrate_bloch(system, pulse, grid)
+        sreport = work_total_and_decomposition(btraj)
         timings["bloch"] += time.perf_counter() - t0
         del btraj
 
@@ -158,10 +156,9 @@ class OracleRun:
 
 
 def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
-    envelope = PulseEnvelope(pulse, system)
     t0 = time.perf_counter()
     mode_grid = make_mode_grid(system, half_width=half_width, n_modes=n_modes)
-    state = init_single_photon(mode_grid, envelope)
+    state = init_single_photon(system, pulse, mode_grid)
     # Sampled at 0.02 / W, the steps criterion 4 was first checked on.
     grid = uniform_grid(t_max, 0.02 / half_width)
     traj = propagate(state, mode_grid, grid)

@@ -1,8 +1,10 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves and follows the (system, pulse) calling
+convention, in the package and in each submodule."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +20,27 @@ def test_all_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
 
+
+
+@pytest.mark.parametrize("module", ["photon_work"] + [f"photon_work.{m}" for m in SUBMODULES])
+def test_pulse_follows_system(module):
+    """Pulse-driven callables take ``(system, pulse, ...)``: no parameter is
+    named ``envelope``, and a ``pulse`` parameter comes right after
+    ``system``, so the two can never be passed twice and disagree."""
+    mod = importlib.import_module(module)
+    bad = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if not callable(obj):
+            continue
+        try:
+            params = list(inspect.signature(obj).parameters)
+        except (TypeError, ValueError):
+            continue
+        if "envelope" in params:
+            bad.append(f"{name} takes envelope")
+        if "pulse" in params:
+            i = params.index("pulse")
+            if i == 0 or params[i - 1] != "system":
+                bad.append(f"{name}{tuple(params)}")
+    assert not bad, f"{module}: {bad}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from photon_work.model import make_pulse, make_system, uniform_grid
+from photon_work.model import check_step, make_pulse, make_system, uniform_grid
 
 _positive = st.floats(
     min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -97,6 +97,19 @@ def test_uniform_grid_validation():
         uniform_grid(0.0, 0.1)
     with pytest.raises(ValueError, match="step must be positive"):
         uniform_grid(1.0, 0.0)
+
+
+def test_step_guard_limit_is_a_twentieth_of_the_fastest_rate():
+    # The fastest rate here is |deltaL| = 20, so the limit is 0.05 / 20.
+    system = make_system()
+    pulse = make_pulse(1.0, 120.0, system)
+    check_step(0.0025, system, pulse)
+    with pytest.raises(
+        ValueError,
+        match=r"^step 0\.0026 too large: need step <= 0\.0025 for rates "
+        r"\(gamma0=1, delta=1, deltaL=20\)$",
+    ):
+        check_step(0.0026, system, pulse)
 
 
 def test_time_rescaling_invariance():

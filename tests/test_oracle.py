@@ -20,7 +20,6 @@ from photon_work.oracle import (
     make_mode_grid,
     propagate,
 )
-from photon_work.pulse import PulseEnvelope
 
 # Small combs for the expansion invariants: (half_width, n_modes, delta,
 # deltaL, initial emitter amplitude): one resonant, one detuned, and one
@@ -46,7 +45,7 @@ def pulse1(sys1):
 def w50(sys1, pulse1):
     """Half-size window run shared by the convergence and heat checks."""
     mg = make_mode_grid(sys1, half_width=50.0, n_modes=2001)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     grid = uniform_grid(10.0, 1e-3)
     return mg, state, grid, propagate(state, mg, grid)
 
@@ -71,7 +70,7 @@ def test_mode_grid_validation(sys1):
 
 def test_initial_state_split_and_capture(sys1, pulse1):
     mg = make_mode_grid(sys1, half_width=100.0, n_modes=4001)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     assert state.psi == 0.0
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(state.phis[0], state.phis[1])
@@ -84,11 +83,11 @@ def test_initial_state_split_and_capture(sys1, pulse1):
 
 def test_wide_window_is_flagged_valid(sys1, pulse1):
     mg = make_mode_grid(sys1, half_width=350.0, n_modes=2001)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     assert state.captured_mass > 0.999
     assert state.window_ok
     traj = propagate(state, mg, uniform_grid(1.0, 1e-3))
-    assert traj.valid
+    assert traj.recurrence_ok and traj.window_ok
     assert traj.max_drift() < 1e-9
 
 
@@ -97,7 +96,7 @@ def test_error_shrinks_as_window_grows(sys1, pulse1, w50, oracle_pair):
     window reproduces the closed form to about a percent, in phase, not
     just in modulus."""
     mg25 = make_mode_grid(sys1, half_width=25.0, n_modes=1001)
-    state25 = init_single_photon(mg25, PulseEnvelope(pulse1, sys1))
+    state25 = init_single_photon(sys1, pulse1, mg25)
     grid25 = uniform_grid(10.0, 1e-3)
     traj25 = propagate(state25, mg25, grid25)
     err25 = np.max(np.abs(traj25.psi - closed_form_psi(sys1, pulse1, grid25.times())))
@@ -114,15 +113,14 @@ def test_error_shrinks_as_window_grows(sys1, pulse1, w50, oracle_pair):
 def test_recurrence_flag_on_coarse_comb(sys1, pulse1):
     # Spacing 0.5 revives at 2 pi / 0.5 = 12.6, inside a 13-long run.
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     traj = propagate(state, mg, uniform_grid(13.0, 1e-3))
     assert not traj.recurrence_ok
-    assert not traj.valid
 
 
 def test_norm_drift_tolerance_is_enforced(sys1, pulse1):
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     grid = uniform_grid(13.0, 1e-3)
     # The expansion of this comb keeps norm and rebuilds its initial state
     # to about 3e-16, so only a tolerance below that trips the gate.
@@ -134,7 +132,7 @@ def test_any_step_samples_the_same_trajectory(sys1, pulse1):
     """The expansion is exact in time: a step of 0.1, a radian of phase
     per step at the window edge, samples the same psi as a step of 1e-3."""
     mg = make_mode_grid(sys1, half_width=10.0, n_modes=41)
-    state = init_single_photon(mg, PulseEnvelope(pulse1, sys1))
+    state = init_single_photon(sys1, pulse1, mg)
     coarse = propagate(state, mg, uniform_grid(2.0, 1e-1))
     fine = propagate(state, mg, uniform_grid(2.0, 1e-3))
     np.testing.assert_allclose(coarse.psi, fine.psi[::100], rtol=0.0, atol=1e-14)
@@ -198,7 +196,7 @@ def _small_comb(sys1, name):
     half_width, n_modes, delta, deltaL, psi0 = SMALL_COMBS[name]
     mg = make_mode_grid(sys1, half_width=half_width, n_modes=n_modes)
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
-    photon = init_single_photon(mg, PulseEnvelope(pulse, sys1))
+    photon = init_single_photon(sys1, pulse, mg)
     scale = math.sqrt(1.0 - psi0**2)
     return mg, GlobalState(psi=complex(psi0), phis=scale * photon.phis)
 
