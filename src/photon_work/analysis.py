@@ -106,15 +106,19 @@ def _rel_err(a: float, b: float) -> float:
 
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("PHOTON_WORK_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(8, os.cpu_count() or 1, n_jobs))
+    if not env:
+        return max(1, min(8, os.cpu_count() or 1, n_jobs))
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(
+            f"PHOTON_WORK_THREADS must be a positive integer, got '{env}'"
+        )
+    return int(env)
 
 
 def compare_equivalences(
     system: SystemParams,
     pulse: PulseParams,
-    step: float | None = None,
+    max_step: float | None = None,
     cycle_tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Run both pipelines on a full cycle and compare the three pairs.
@@ -123,17 +127,15 @@ def compare_equivalences(
     ----------
     system : SystemParams
     pulse : PulseParams
-    step : float, optional
-        Grid step; defaults to min(5e-3, 0.02/rate) with
-        rate = max(gamma0, delta, |deltaL|), fine enough that the
-        quadrature error is far below the equivalence scale even for the
-        very long grids that narrowband pulses need.
+    max_step : float, optional
+        Cap passed to :func:`full_cycle_grid`; unset, 5e-3, fine enough
+        that the quadrature error is far below the equivalence scale even
+        for the very long grids that narrowband pulses need.
     cycle_tol : float
         Full-cycle population tolerance passed to the grid builder.
     """
-    if step is None:
-        step = default_step(rate_scale(system, pulse), _EQUIV_STEP_CAP)
-    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, step=step)
+    cap = _EQUIV_STEP_CAP if max_step is None else max_step
+    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, max_step=cap)
 
     traj = closed_form_trajectory(system, pulse, grid)
     rep = thermo_report(traj)
@@ -172,35 +174,33 @@ def compare_equivalences(
     )
 
 
-def _scan_point(
-    system: SystemParams, delta: float, deltaL: float, step, cycle_tol
-) -> ThermoReport:
-    pulse = make_pulse(delta, system.omega0 + deltaL, system)
-    if step is None:
-        step = default_step(rate_scale(system, pulse), _SCAN_STEP_CAP)
-    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, step=step)
-    traj = closed_form_trajectory(system, pulse, grid)
-    return thermo_report(traj)
-
-
 def detuning_scan(
     system: SystemParams,
     delta: float,
     deltaL_list,
-    step: float | None = None,
+    max_step: float | None = None,
     cycle_tol: float = 1e-12,
 ) -> DetuningScan:
     """Closed-form thermo sweep over laser detunings at fixed bandwidth.
 
-    Points run in parallel (capped by the PHOTON_WORK_THREADS environment
-    variable) and are aggregated in list order, so results do not depend
-    on scheduling.
+    Every point runs on one spacing, ``min(max_step, 0.02 / rate)`` at
+    the fastest rate of the sweep (unset, the cap is 5e-4), so mirrored
+    detunings share identical grids and the antisymmetry defect is a pure
+    physics statement.  Points run in parallel (capped by the
+    PHOTON_WORK_THREADS environment variable) and are aggregated in list
+    order, so results do not depend on scheduling.
     """
     values = [float(d) for d in deltaL_list]
+    pulses = [make_pulse(delta, system.omega0 + d, system) for d in values]
+    rate = max((rate_scale(system, p) for p in pulses), default=system.gamma0)
+    step = default_step(rate, _SCAN_STEP_CAP if max_step is None else max_step)
+
+    def point(pulse: PulseParams) -> ThermoReport:
+        grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, max_step=step)
+        return thermo_report(closed_form_trajectory(system, pulse, grid))
+
     with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-        reports = list(
-            pool.map(lambda d: _scan_point(system, delta, d, step, cycle_tol), values)
-        )
+        reports = list(pool.map(point, pulses))
 
     w1 = np.array([r.W1 for r in reports])
     pairs = []

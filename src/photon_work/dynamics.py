@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import (
+    DEFAULT_STEP_CAP,
     PulseParams,
     SystemParams,
     TimeGrid,
@@ -184,7 +185,7 @@ def full_cycle_grid(
     system: SystemParams,
     pulse: PulseParams,
     cycle_tol: float,
-    step: float | None = None,
+    max_step: float | None = None,
 ) -> TimeGrid:
     """Grid long enough that the emitter has fully re-radiated.
 
@@ -201,14 +202,12 @@ def full_cycle_grid(
     ----------
     cycle_tol : float
         Population threshold, 0 < cycle_tol < 1.
-    step : float, optional
-        Grid spacing; defaults to ``min(1e-3, 0.02 / max rate)``
-        (``model.default_step``).
+    max_step : float, optional
+        Cap on the spacing, which is ``min(max_step, 0.02 / max rate)``
+        (``model.default_step``); unset, the cap is 1e-3.
     """
     if not (0.0 < cycle_tol < 1.0):
         raise ValueError("cycle_tol must be in (0, 1)")
-    if step is None:
-        step = default_step(rate_scale(system, pulse))
     mu = 0.5 * min(system.gamma0, pulse.delta)
     t_lo = 1.0 / mu  # past the peak of t e^{-mu t}; bound is monotone beyond
     if _population_bound(system, pulse, t_lo) <= cycle_tol:
@@ -223,4 +222,5 @@ def full_cycle_grid(
             t_hi,
             xtol=1e-9 / mu,
         )
-    return uniform_grid(2.0 * t_star, step)
+    cap = DEFAULT_STEP_CAP if max_step is None else max_step
+    return uniform_grid(2.0 * t_star, default_step(rate_scale(system, pulse), cap))

@@ -7,8 +7,11 @@ to continuum coupling ``g`` is never free: it is derived from the decay
 rate through ``gamma0 = 4 * pi * g**2 * rho0``.
 
 Every fixed-step grid is sized against the fastest rate of the run,
-``max(gamma0, delta, |deltaL|)``: default steps take a fraction 0.02 of
-its inverse and the integrators refuse steps above 0.05 of it.
+``max(gamma0, delta, |deltaL|)``: full-cycle grids take the spacing
+``min(max_step, 0.02 / rate)`` (:func:`default_step`, applied in
+``dynamics.full_cycle_grid``) and the integrators refuse steps above
+0.05 / rate.  A parameter named ``step`` is an exact spacing, one named
+``max_step`` a cap on it.
 """
 
 from __future__ import annotations

@@ -119,7 +119,6 @@ class OracleTrajectory:
     norm: float
     final_state: GlobalState
     recurrence_ok: bool
-    window_ok: bool
 
     def max_drift(self) -> float:
         return abs(1.0 - self.norm)
@@ -385,5 +384,4 @@ def propagate(
         norm=norm + dark_mass,
         final_state=final,
         recurrence_ok=recurrence_ok,
-        window_ok=state.window_ok,
     )

@@ -87,7 +87,7 @@ def run_set(system) -> RunSet:
         step = run_step(rate)
 
         t0 = time.perf_counter()
-        grid = full_cycle_grid(system, pulse, cycle_tol=1e-12, step=step)
+        grid = full_cycle_grid(system, pulse, cycle_tol=1e-12, max_step=step)
         traj = closed_form_trajectory(system, pulse, grid)
         report = thermo_report(traj)
         timings["thermo"] += time.perf_counter() - t0
@@ -131,7 +131,7 @@ class ConfluentRun:
 @pytest.fixture(scope="session")
 def confluent_run(system) -> ConfluentRun:
     pulse = make_pulse(1.0, system.omega0, system)
-    grid = full_cycle_grid(system, pulse, cycle_tol=1e-12, step=1e-4)
+    grid = full_cycle_grid(system, pulse, cycle_tol=1e-12, max_step=1e-4)
     traj = closed_form_trajectory(system, pulse, grid)
     return ConfluentRun(
         system=system,
@@ -171,7 +171,7 @@ def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
         max_abs_err=float(np.max(np.abs(np.abs(traj.psi) - np.abs(closed)))),
         max_drift=traj.max_drift(),
         recurrence_ok=traj.recurrence_ok,
-        window_ok=traj.window_ok,
+        window_ok=state.window_ok,
         runtime=runtime,
     )
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from photon_work import analysis
 from photon_work.analysis import (
     REL_ERR_FLOOR,
     compare_equivalences,
     detuning_scan,
 )
+from photon_work.dynamics import full_cycle_grid
 from photon_work.model import make_pulse, make_system
 
 
@@ -101,11 +103,28 @@ def test_detuning_scan_values_and_antisymmetry(sys1):
     assert np.all(scan.Q1_abs > 0.0) and np.all(scan.Q1_em < 0.0)
 
 
+def test_scan_shares_one_spacing_at_the_fastest_rate(sys1, monkeypatch):
+    # deltaL = 40 sets the rate: every point, the slow ones too, runs on
+    # 0.02 / 40 = 5e-4 below the 1e-3 cap.
+    spacings = []
+
+    def recording_grid(*args, **kwargs):
+        grid = full_cycle_grid(*args, **kwargs)
+        spacings.append(grid.spacing)
+        return grid
+
+    monkeypatch.setattr(analysis, "full_cycle_grid", recording_grid)
+    scan = detuning_scan(sys1, 0.5, [-40.0, -1.0, 1.0, 40.0], max_step=1e-3)
+    assert spacings == [5e-4] * 4
+    assert [d for d, _ in scan.antisymmetry] == [1.0, 40.0]
+    assert [defect for _, defect in scan.antisymmetry] == [0.0, 0.0]
+
+
 def test_scan_is_deterministic_across_thread_counts(sys1, monkeypatch):
     deltas = [-0.5, 0.2, 0.5]
 
     def run():
-        return detuning_scan(sys1, 1.0, deltas, step=2e-3, cycle_tol=1e-9)
+        return detuning_scan(sys1, 1.0, deltas, max_step=2e-3, cycle_tol=1e-9)
 
     monkeypatch.setenv("PHOTON_WORK_THREADS", "1")
     serial = run()

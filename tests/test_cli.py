@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import photon_work
-from photon_work.analysis import compare_equivalences
+from photon_work.analysis import compare_equivalences, detuning_scan
 from photon_work.cli import _BLOCK, RunConfig, _write_csv, main, parse_config
+from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
 from photon_work.model import make_pulse, make_system
+from photon_work.thermo import thermo_report
 
 
 def test_empty_text_gives_defaults():
@@ -288,6 +290,73 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
     ]
     lines = (workdir / "eqd_equivalence.csv").read_text().splitlines()
     assert [float(field) for field in lines[1].split(",")] == expected
+
+
+def test_single_mode_default_step_is_the_library_default(workdir):
+    # deltaL = 30 puts 0.02 / rate = 6.7e-4 below the 1e-3 cap.
+    cfg = _write(
+        workdir, "mode=single\ndeltaL=30\ntraj_stride=1000\nout=sd\n"
+    )
+    assert main([cfg]) == 0
+    system = make_system()
+    pulse = make_pulse(1.0, 130.0, system)
+    grid = full_cycle_grid(system, pulse, cycle_tol=1e-12)
+    rep = thermo_report(closed_form_trajectory(system, pulse, grid))
+    expected = [
+        rep.W1,
+        rep.Q1,
+        rep.Q1_abs,
+        rep.Q1_em,
+        rep.W1_int,
+        rep.W1_reac,
+        rep.dU,
+        rep.residual_first_law,
+        rep.residual_Q_split,
+        rep.residual_W_split,
+    ]
+    lines = (workdir / "sd_summary.csv").read_text().splitlines()
+    assert [float(field) for field in lines[1].split(",")] == expected
+
+
+def test_detuning_mode_default_step_is_the_library_default(workdir):
+    # Without a step the sweep uses the library's own 5e-4 cap.
+    cfg = _write(
+        workdir,
+        "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4\n"
+        "cycle_tol=1e-10\nout=dd\n",
+    )
+    assert main([cfg]) == 0
+    scan = detuning_scan(make_system(), 0.5, [-0.4, 0.4], cycle_tol=1e-10)
+    expected = np.column_stack(
+        [scan.deltaL, scan.W1, scan.Q1, scan.Q1_abs, scan.Q1_em]
+    ).tolist()
+    lines = (workdir / "dd_scan.csv").read_text().splitlines()
+    assert [[float(f) for f in line.split(",")] for line in lines[1:]] == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_bad_thread_count_exits_1_naming_the_variable(
+    workdir, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("PHOTON_WORK_THREADS", value)
+    cfg = _write(workdir, "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4\n")
+    assert main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"PHOTON_WORK_THREADS must be a positive integer, got '{value}'" in err
+
+
+def test_oversized_grid_exits_1_with_a_message(workdir, capsys):
+    # The sample times alone would exceed the 128 TiB x86-64 user address
+    # space, so the allocation is refused without touching memory.
+    system = make_system()
+    grid = full_cycle_grid(
+        system, make_pulse(1.0, 100.0, system), cycle_tol=1e-12, max_step=1e-12
+    )
+    assert grid.n * 8 > 2**47
+    cfg = _write(workdir, "mode=single\nstep=1e-12\n")
+    assert main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
 
 
 def test_bandwidth_scan_mode(workdir):

@@ -99,7 +99,7 @@ def test_ode_matches_closed_form_randomized(delta, deltaL):
     system = make_system()
     pulse = make_pulse(delta, 100.0 + deltaL, system)
     step = 1e-3 / max(1.0, delta, abs(deltaL))
-    grid = full_cycle_grid(system, pulse, cycle_tol=1e-6, step=step)
+    grid = full_cycle_grid(system, pulse, cycle_tol=1e-6, max_step=step)
     ode = integrate_psi(system, pulse, grid)
     ref = closed_form_psi(system, pulse, grid.times())
     assert np.max(np.abs(ode.psi - ref)) < 1e-6

@@ -1,5 +1,6 @@
 """Every exported name resolves and follows the (system, pulse) calling
-convention, in the package and in each submodule."""
+convention and the step naming rule, in the package and in each
+submodule."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
-
 
 
 @pytest.mark.parametrize("module", ["photon_work"] + [f"photon_work.{m}" for m in SUBMODULES])
@@ -44,3 +44,24 @@ def test_pulse_follows_system(module):
             if i == 0 or params[i - 1] != "system":
                 bad.append(f"{name}{tuple(params)}")
     assert not bad, f"{module}: {bad}"
+
+
+# The exact-spacing grid builder and the integrator guard; every other
+# grid parameter is a cap.
+EXACT_STEP = {"uniform_grid", "check_step"}
+
+
+@pytest.mark.parametrize("module", ["photon_work"] + [f"photon_work.{m}" for m in SUBMODULES])
+def test_step_means_an_exact_spacing(module):
+    """A function parameter named ``step`` is an exact grid spacing, so only
+    the exact-spacing builders take one; a cap is named ``max_step``.
+    (Config records such as ``RunConfig`` hold keys, not parameters.)"""
+    mod = importlib.import_module(module)
+    bad = [
+        name
+        for name in mod.__all__
+        if inspect.isfunction(obj := getattr(mod, name))
+        and name not in EXACT_STEP
+        and "step" in inspect.signature(obj).parameters
+    ]
+    assert not bad, f"{module}: {bad} take step; name a cap max_step"

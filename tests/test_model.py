@@ -125,9 +125,9 @@ def test_time_rescaling_invariance():
     scaled_sys = make_system(s, s * 100.0)
     scaled_pulse = make_pulse(s * 0.5, s * 100.3, scaled_sys)
 
-    grid = full_cycle_grid(base_sys, base_pulse, cycle_tol=1e-12, step=1e-3)
+    grid = full_cycle_grid(base_sys, base_pulse, cycle_tol=1e-12, max_step=1e-3)
     grid_s = full_cycle_grid(
-        scaled_sys, scaled_pulse, cycle_tol=1e-12, step=1e-3 / s
+        scaled_sys, scaled_pulse, cycle_tol=1e-12, max_step=1e-3 / s
     )
     traj = closed_form_trajectory(base_sys, base_pulse, grid)
     traj_s = closed_form_trajectory(scaled_sys, scaled_pulse, grid_s)

@@ -87,7 +87,7 @@ def test_wide_window_is_flagged_valid(sys1, pulse1):
     assert state.captured_mass > 0.999
     assert state.window_ok
     traj = propagate(state, mg, uniform_grid(1.0, 1e-3))
-    assert traj.recurrence_ok and traj.window_ok
+    assert traj.recurrence_ok and state.window_ok
     assert traj.max_drift() < 1e-9
 
 

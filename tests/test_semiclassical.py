@@ -31,14 +31,14 @@ def sys1():
 def narrow_det(sys1):
     """Narrowband blue-detuned drive, integrated over a full cycle."""
     pulse = make_pulse(0.01, 100.2, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=2e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=2e-3)
     return pulse, grid, integrate_bloch(sys1, pulse, grid)
 
 
 @pytest.fixture(scope="module")
 def narrow_res(sys1):
     pulse = make_pulse(0.01, 100.0, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=2e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=2e-3)
     return pulse, grid
 
 
@@ -46,7 +46,7 @@ def test_state_stays_physical_at_strong_drive(sys1):
     # The Bloch pair starts pure and damped evolution keeps the state
     # inside the Bloch ball: |rho_eg|^2 <= rho_ee (1 - rho_ee).
     pulse = make_pulse(1.0, 100.0, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=2e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=2e-3)
     bt = integrate_bloch(sys1, pulse, grid)
     assert np.all(bt.rho_ee >= 0.0) and np.all(bt.rho_ee <= 1.0)
     excess = np.abs(bt.rho_eg) ** 2 - bt.rho_ee * (1.0 - bt.rho_ee)
@@ -57,7 +57,7 @@ def test_low_excitation_matches_single_photon(sys1):
     """In the weak-excitation regime the Bloch solution collapses onto
     the single-photon amplitude: rho_ee -> |psi|^2, rho_eg -> psi."""
     pulse = make_pulse(0.01, 100.0, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=2e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=2e-3)
     bt = integrate_bloch(sys1, pulse, grid)
     psi = closed_form_psi(sys1, pulse, grid.times())
     assert np.max(np.abs(bt.rho_ee - np.abs(psi) ** 2)) < 1e-3
@@ -66,7 +66,7 @@ def test_low_excitation_matches_single_photon(sys1):
 
 def test_matching_improves_for_narrower_bandwidth(sys1):
     pulse = make_pulse(0.001, 100.0, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=5e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=5e-3)
     bt = integrate_bloch(sys1, pulse, grid)
     psi = closed_form_psi(sys1, pulse, grid.times())
     assert np.max(np.abs(bt.rho_ee - np.abs(psi) ** 2)) < 1e-4
@@ -171,7 +171,7 @@ def test_scan_matches_step_by_step_rk4(sys1, delta, deltaL, scale, steps):
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     h = 1e-2
     if steps is None:
-        grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, step=h)
+        grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=h)
     else:
         grid = TimeGrid(t0=0.0, tf=steps * h, n=steps + 1, spacing=h)
     bt = integrate_bloch(sys1, pulse, grid, amplitude_scale=scale)

@@ -23,7 +23,7 @@ def sys1():
 def detuned_run(sys1):
     """A generic full cycle with both detuning and bandwidth mismatch."""
     pulse = make_pulse(0.3, 100.7, sys1)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, step=1e-3)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=1e-3)
     traj = closed_form_trajectory(sys1, pulse, grid)
     return traj, thermo_report(traj)
 
@@ -92,7 +92,7 @@ def test_resonant_work_is_exactly_zero(sys1):
     # work integrand is identically zero, not merely small.
     for delta in (0.37, 1.0, 4.0):
         pulse = make_pulse(delta, 100.0, sys1)
-        grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, step=1e-3)
+        grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=1e-3)
         traj = closed_form_trajectory(sys1, pulse, grid)
         assert abs(thermo_report(traj).W1) < 1e-16
 
@@ -100,7 +100,7 @@ def test_resonant_work_is_exactly_zero(sys1):
 def test_work_antisymmetric_under_detuning_flip(sys1):
     pulse_p = make_pulse(0.1, 100.4, sys1)
     pulse_m = make_pulse(0.1, 99.6, sys1)
-    grid = full_cycle_grid(sys1, pulse_p, cycle_tol=1e-12, step=1e-3)
+    grid = full_cycle_grid(sys1, pulse_p, cycle_tol=1e-12, max_step=1e-3)
     w_p = thermo_report(closed_form_trajectory(sys1, pulse_p, grid)).W1
     w_m = thermo_report(closed_form_trajectory(sys1, pulse_m, grid)).W1
     assert w_p != 0.0
@@ -109,7 +109,7 @@ def test_work_antisymmetric_under_detuning_flip(sys1):
 
 def test_work_value_converges_with_step(sys1):
     pulse = make_pulse(0.1, 100.2, sys1)
-    grid_ref = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, step=2.5e-4)
+    grid_ref = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=2.5e-4)
     tf = grid_ref.tf
     ref = thermo_report(closed_form_trajectory(sys1, pulse, grid_ref)).W1
 
