@@ -101,7 +101,9 @@ _PARSERS = {
 }
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)} | {"deltaL": float}
 
-# Ranges of the keys the library does not validate itself.
+# Range of each constrained key.  The library checks six of them again
+# (make_mode_grid, full_cycle_grid, uniform_grid, make_pulse), but only
+# parsing can cite the config line.
 _LIMITS = {
     "step": (lambda v: v > 0.0, "must be positive"),
     "half_width": (lambda v: v > 0.0, "must be positive"),

@@ -10,7 +10,7 @@ time-dependent decay rate ``Gamma(t)``:
 A negative ``Gamma(t)`` marks non-Markovian backflow (coherent absorption
 from the pulse).  Ratios are evaluated through the conjugate product
 ``z = phi psi*`` divided by the population, which is numerically stable;
-samples where the population falls below ``DEFAULT_ETA`` times its
+samples where the population is at or below ``DEFAULT_ETA`` times its
 maximum are masked invalid because the ratio quantities are undefined
 there.  The interaction energy ``<H_int>(t) = 2 hbar g Im[phi psi*]``
 stays regular at psi = 0 and is never masked.
@@ -31,7 +31,7 @@ __all__ = [
     "DEFAULT_ETA",
 ]
 
-# Relative population threshold below which ratio quantities are masked.
+# Relative population threshold at or below which ratio quantities are masked.
 DEFAULT_ETA = 1e-12
 
 
@@ -54,7 +54,8 @@ class EffectiveTrajectory:
     pop : ndarray
         Excited-state population ``|psi(t_k)|^2``.
     valid_mask : ndarray
-        Boolean mask, True where ``pop >= DEFAULT_ETA * max(pop)``.
+        Boolean mask, True where ``pop > DEFAULT_ETA * max(pop)``, the
+        guard of the ratio term in ``thermo.energy_moments``.
     """
 
     grid: TimeGrid
@@ -70,8 +71,7 @@ def effective_trajectory(traj: AmplitudeTrajectory) -> EffectiveTrajectory:
     z = traj.phi * np.conj(traj.psi)
     pop = np.abs(traj.psi) ** 2
     g = traj.system.g
-    pmax = pop.max() if pop.size else 0.0
-    valid = pop >= DEFAULT_ETA * pmax if pmax > 0.0 else np.zeros(pop.shape, dtype=bool)
+    valid = pop > DEFAULT_ETA * pop.max()
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_eff = np.where(valid, g * z.imag / pop, np.nan)
         gamma_t = np.where(valid, traj.system.gamma0 + 2.0 * g * z.real / pop, np.nan)

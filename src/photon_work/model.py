@@ -88,28 +88,27 @@ class PulseParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid starting at t = 0.
+    """Uniform time grid of ``n`` samples ``k * spacing`` from t = 0.
 
     The excitation is entirely in the field at t = 0, so every evolution
-    starts there; ``tf`` is normally chosen by ``dynamics.full_cycle_grid``
-    so that the emitter population has decayed below a cycle tolerance.
+    starts there; ``dynamics.full_cycle_grid`` normally sets ``n`` so that
+    the emitter population has decayed below a cycle tolerance.
 
     Attributes
     ----------
-    t0 : float
-        Start time, always 0.
-    tf : float
-        End time, equal to ``(n - 1) * spacing``.
     n : int
         Number of samples (grid points, not steps).
     spacing : float
         Uniform step between samples.
     """
 
-    t0: float
-    tf: float
     n: int
     spacing: float
+
+    @property
+    def tf(self) -> float:
+        """End time, ``(n - 1) * spacing``."""
+        return (self.n - 1) * self.spacing
 
     def times(self) -> np.ndarray:
         """Return the sample times as an array of length ``n``."""
@@ -179,7 +178,7 @@ def uniform_grid(tf: float, step: float) -> TimeGrid:
     if not (step > 0):
         raise ValueError("step must be positive")
     n_steps = max(1, math.ceil(tf / step - 1e-9))
-    return TimeGrid(t0=0.0, tf=n_steps * step, n=n_steps + 1, spacing=step)
+    return TimeGrid(n=n_steps + 1, spacing=step)
 
 
 def rate_scale(system: SystemParams, pulse: PulseParams) -> float:

@@ -24,11 +24,13 @@ splits exactly into three pieces by writing rho_eg = R e^{i theta}:
     W_abs  = integral omega_s^eg (-2 g Re[alpha rho_eg*]) dt  (phase part)
 
 with omega_s^eg = -Im[d(rho_eg)/dt / rho_eg] the instantaneous emission
-frequency.  The split is algebraic, valid for the full nonlinear motion,
-and is evaluated here in regularized product form (the two ratio terms
-carry the same guarded array and cancel in the sum), so the reported
-residual is rounding noise for any parameters.  Heat follows the same
-table: Q_alpha = -gamma0 integral (omega0 rho_ee + <H_int>/2) dt.
+frequency.  The split is algebraic and valid for the full nonlinear
+motion.  Each piece, and the heat Q_alpha = -gamma0 integral (omega0
+rho_ee + <H_int>/2) dt, is one coefficient row on the moments of
+``thermo.energy_moments`` (u = alpha rho_eg*, occ = 1 - 2 rho_ee).  W_reac,
+W_abs and Q_alpha are the photon's W1_reac, Q1_abs and Q1_em rows
+(``thermo.shared_rows``); W_alpha has a row of its own, so the residual
+compares independently written rows and is rounding noise.
 
 Linear response: the susceptibility of the dipole is a single Lorentzian
 
@@ -46,10 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import DEFAULT_ETA
 from .model import PulseParams, SystemParams, TimeGrid, check_step
 from .pulse import envelope_at
-from .thermo import check_full_cycle, trapezoid_sums
+from .thermo import check_full_cycle, energy_moments, row_value, shared_rows
 
 __all__ = [
     "BlochTrajectory",
@@ -302,55 +303,31 @@ def work_total_and_decomposition(
 ) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
-    All five functionals are composite trapezoids of pointwise integrands
-    on the trajectory grid.  The integrands satisfy
-    ``w = d<H_int>/dt + reac + abs`` exactly as array algebra (the guarded
-    ratio terms cancel), so ``residual_decomposition`` is rounding noise.
-    The drive derivative uses the exact envelope relation
-    ``d(alpha~)/dt = -(delta/2 + i deltaL) alpha~`` applied to the drive
-    samples of the integration, which keeps everything consistent with
-    any amplitude scaling used at integration time.  The system and the
-    pulse are read from ``traj``, so they are always those it was
-    integrated with.
+    All five functionals are coefficient rows on the trajectory's
+    trapezoid moments (module docstring).  The W_alpha and W_int rows use
+    the exact envelope relation ``d(alpha~)/dt = -(delta/2 + i deltaL)
+    alpha~``, and the drive is recomputed at the integration's times, so
+    any amplitude scaling carries over.  The system and the pulse are read
+    from ``traj``, so they are always those it was integrated with.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
     g = traj.system.g
-    dec_re = 0.5 * traj.pulse.delta
-    dec_im = traj.pulse.deltaL
+    delta = traj.pulse.delta
+    deltaL = traj.pulse.deltaL
 
     check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
-    mod2_full = np.abs(traj.rho_eg) ** 2
-    threshold = DEFAULT_ETA * float(mod2_full.max())
-
-    def integrands(sl):
-        pp = traj.rho_ee[sl]
-        mod2 = mod2_full[sl]
-        alpha = _drive(traj, sl)
-        u = alpha * np.conj(traj.rho_eg[sl])
-        reu = u.real
-        imu = u.imag
-        # Im[(da/dt) s*] from the exact envelope derivative.
-        im_adot = -dec_re * imu - dec_im * reu
-        occ = 1.0 - 2.0 * pp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(mod2 > threshold, reu * imu / mod2, 0.0)
-        yield "w", 2.0 * g * (im_adot - omega0 * reu)
-        yield "dh", 2.0 * g * (im_adot - 0.5 * gamma0 * imu)
-        yield "reac", g * gamma0 * imu + 2.0 * g * g * occ * r
-        yield "abs", -2.0 * g * omega0 * reu - 2.0 * g * g * occ * r
-        yield "q", -omega0 * gamma0 * pp - g * gamma0 * imu
-
-    sums = trapezoid_sums(traj.grid.n, traj.grid.spacing, integrands)
-    w_alpha = sums["w"]
-    w_int = sums["dh"]
-    w_reac = sums["reac"]
-    w_abs = sums["abs"]
+    m = energy_moments(traj.grid, traj.rho_eg, lambda sl: _drive(traj, sl), traj.rho_ee)
+    reactive, absorptive, emission = shared_rows(traj.system)
+    w_alpha = row_value((0.0, -2.0 * g * (omega0 + deltaL), -g * delta, 0.0), m)
+    w_int = row_value((0.0, -2.0 * g * deltaL, -g * (gamma0 + delta), 0.0), m)
+    w_reac = row_value(reactive, m)
+    w_abs = row_value(absorptive, m)
     return SemiclassicalReport(
         W_alpha=w_alpha,
         W_int=w_int,
         W_reac=w_reac,
         W_abs=w_abs,
-        Q_alpha=sums["q"],
+        Q_alpha=row_value(emission, m),
         residual_decomposition=w_alpha - (w_int + w_reac + w_abs),
     )

@@ -6,37 +6,52 @@ Definitions (units hbar = 1, energies in hbar gamma0):
     W1    = integral |psi|^2 d(omega_s)/dt dt   work (unitary part)
     Q1    = integral d(|psi|^2)/dt omega_s dt   heat (non-unitary part)
 
-with omega_s = omega0 + delta_eff.  Every functional is reduced to an
-integrand that is polynomial in (phi, psi) except for one bounded ratio
-term, and all of them are integrated with the same composite trapezoid
-rule on the shared uniform grid.  Because the integrands satisfy the
-decomposition identities pointwise (as array algebra), the reported
-residuals check quadrature consistency only and sit at rounding level
-for any step size; they are carried in the report rather than silently
-reconciled.
+with omega_s = omega0 + delta_eff.  Every functional is linear in four
+trapezoid moments, which :func:`energy_moments` forms in one pass for the
+photon and for the coherent drive (``semiclassical``):
 
-Integrand forms, with z = phi psi*, p = |psi|^2, r = Re z Im z / p:
+    m = (integral p, integral Re u, integral Im u, integral occ r)
 
-    dp/dt        = -gamma0 p - 2 g Re z
-    d<H_int>/dt  = 2 g Im[dz/dt],  dz/dt = -((gamma0+delta)/2 + i deltaL) z - g|phi|^2
-    (dp/dt) delta_eff = -g gamma0 Im z - 2 g^2 r
+    p    population             |psi|^2      rho_ee
+    u    drive times coherence  phi psi*     alpha rho_eg*
+    occ  occupation factor      1            1 - 2 rho_ee
+    r    Re u Im u / |coherence|^2, 0 where |coherence|^2 <= DEFAULT_ETA max
 
-The ratio term r is bounded by |phi|^2 / 2 and tends to 0 at psi -> 0;
-it is set to 0 on samples where p falls below ``DEFAULT_ETA`` times its
-maximum.
-The same guarded array enters every functional that contains it, so the
-guard never perturbs the decomposition residuals, and its contribution
-to the values themselves is below the cycle-tolerance tail level.
+Each value is one coefficient row on m (g the coupling).  The first three
+rows serve both reports (:func:`shared_rows`): the photon to
+coherent-field correspondence.
+
+    W1_reac, W_reac  (0, 0, g gamma0, 2 g^2)
+    Q1_abs, W_abs    (0, -2 g omega0, 0, -2 g^2)
+    Q1_em, Q_alpha   (-omega0 gamma0, 0, -g gamma0, 0)
+    W1               (0, -g deltaL, g (gamma0 - delta)/2, 2 g^2)
+    Q1               (-omega0 gamma0, -2 g omega0, -g gamma0, -2 g^2)
+    dU               (-omega0 gamma0, -g (2 omega0 + deltaL), -g (gamma0 + delta)/2, 0)
+    W1_int           (0, -g deltaL, -g (gamma0 + delta)/2, 0)
+    W_alpha          (0, -2 g (omega0 + deltaL), -g delta, 0)
+    W_int            (0, -2 g deltaL, -g (gamma0 + delta), 0)
+
+The photon rows follow from dp/dt = -gamma0 p - 2 g Re z, d<H_int>/dt =
+2 g Im[dz/dt] with dz/dt = -((gamma0+delta)/2 + i deltaL) z - g|phi|^2
+(z = phi psi*) and (dp/dt) delta_eff = -g gamma0 Im z - 2 g^2 r.  No row
+is a sum of other rows, so the first-law and split residuals compare
+independently written rows; the rule being linear, they sit at rounding
+level for any step size.  The ratio r is bounded by |phi|^2 / 2 and
+tends to 0 at psi -> 0; its guard enters every row through one moment,
+so it never perturbs the residuals, and its contribution to the values
+is below the cycle-tolerance tail level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
 from .effective import DEFAULT_ETA
+from .model import SystemParams, TimeGrid
 
 __all__ = [
     "ThermoReport",
@@ -59,9 +74,9 @@ class ThermoReport:
     ``Q1`` into the absorption ``Q1_abs = integral omega_s (-2 g Re z) dt``
     and the free emission
     ``Q1_em = integral (-gamma0 omega0 p - (gamma0/2) <H_int>) dt``.
-    ``dU`` is the quadrature of the internal-energy derivative on the same
-    rule as ``W1`` and ``Q1``, so ``residual_first_law`` compares three
-    independently assembled integrand arrays, not a value against itself.
+    Each value is one coefficient row on the four moments (module
+    docstring) written from its own definition, so the three residuals
+    compare independently written rows, not a value against itself.
     """
 
     W1: float
@@ -77,24 +92,50 @@ class ThermoReport:
     grid_meta: str
 
 
-def _trap(h: float, y: np.ndarray) -> float:
-    return h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
+def energy_moments(grid: TimeGrid, coherence, drive, population=None) -> tuple:
+    """The four trapezoid moments m of one run (module docstring).
 
-
-def trapezoid_sums(n: int, h: float, integrands) -> dict:
-    """Composite trapezoid sums of named integrands on a uniform grid.
-
-    The ``n`` samples are walked in chunks of ``_CHUNK`` steps that share
-    their end samples, which bounds the memory of the integrand arrays.
-    ``integrands(sl)`` yields ``(name, values)`` pairs for the samples in
-    slice ``sl``; each sum accumulates its chunks in order.
+    ``coherence`` is psi or rho_eg on ``grid`` and ``drive(sl)`` the drive
+    (phi or alpha) at the samples in slice ``sl``.  ``population`` is
+    rho_ee, or None for the photon: p = |psi|^2 and occ = 1.  The samples
+    are walked in chunks of ``_CHUNK`` steps that share their end samples,
+    which bounds the memory of the per-sample arrays.
     """
-    sums: dict = {}
-    for i0 in range(0, max(n - 1, 1), _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, n - 1) + 1)
-        for name, y in integrands(sl):
-            sums[name] = sums.get(name, 0.0) + _trap(h, y)
-    return sums
+    n, h = grid.n, grid.spacing
+    mod2 = np.abs(coherence) ** 2
+    threshold = DEFAULT_ETA * float(mod2.max())
+    sums = [0.0] * 4
+    for lo in range(0, max(n - 1, 1), _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, n - 1) + 1)
+        d = drive(sl)
+        u = d * np.conj(coherence[sl])
+        m = mod2[sl]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(m > threshold, u.real * u.imag / m, 0.0)
+        if population is None:
+            p = m
+        else:
+            p = population[sl]
+            r *= 1.0 - 2.0 * p
+        for k, y in enumerate((p, u.real, u.imag, r)):
+            sums[k] += h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
+    return tuple(sums)
+
+
+def row_value(row, moments) -> float:
+    """A coefficient row on the moments, added exactly (``math.fsum``):
+    rows such as W1 and Q1 cancel terms far larger than their value."""
+    return math.fsum(c * m for c, m in zip(row, moments))
+
+
+def shared_rows(system: SystemParams) -> tuple:
+    """Rows of reactive work (W1_reac, W_reac), absorption (Q1_abs, W_abs)
+    and free emission (Q1_em, Q_alpha), shared by photon and drive."""
+    g, gamma0, omega0 = system.g, system.gamma0, system.omega0
+    reactive = (0.0, 0.0, g * gamma0, 2.0 * g * g)
+    absorptive = (0.0, -2.0 * g * omega0, 0.0, -2.0 * g * g)
+    emission = (-omega0 * gamma0, 0.0, -g * gamma0, 0.0)
+    return reactive, absorptive, emission
 
 
 def check_full_cycle(pop_end: float, allow_partial: bool) -> None:
@@ -127,38 +168,18 @@ def thermo_report(
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
 
-    pop = np.abs(traj.psi) ** 2
-    check_full_cycle(float(pop[-1]), allow_partial)
-    threshold = DEFAULT_ETA * float(pop.max())
-
-    def integrands(sl):
-        p = pop[sl]
-        z = traj.phi[sl] * np.conj(traj.psi[sl])
-        rez = z.real
-        imz = z.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(p > threshold, rez * imz / p, 0.0)
-        dp = -gamma0 * p - 2.0 * g * rez
-        im_zdot = -0.5 * (gamma0 + delta) * imz - deltaL * rez
-        dhint = 2.0 * g * im_zdot
-        f = -g * gamma0 * imz - 2.0 * g * g * r
-        yield "w1", 0.5 * dhint - f
-        yield "q1", omega0 * dp + f
-        yield "du", omega0 * dp + 0.5 * dhint
-        yield "qabs", -2.0 * g * omega0 * rez - 2.0 * g * g * r
-        yield "qem", -omega0 * gamma0 * p - g * gamma0 * imz
-        yield "wint", 0.5 * dhint
-        yield "wreac", g * gamma0 * imz + 2.0 * g * g * r
-
-    sums = trapezoid_sums(traj.grid.n, traj.grid.spacing, integrands)
-    w1 = sums["w1"]
-    q1 = sums["q1"]
-    du = sums["du"]
-    q1_abs = sums["qabs"]
-    q1_em = sums["qem"]
-    w1_int = sums["wint"]
-    w1_reac = sums["wreac"]
-    grid = traj.grid
+    check_full_cycle(float(np.abs(traj.psi[-1]) ** 2), allow_partial)
+    m = energy_moments(traj.grid, traj.psi, lambda sl: traj.phi[sl])
+    reactive, absorptive, emission = shared_rows(traj.system)
+    w1 = row_value((0.0, -g * deltaL, 0.5 * g * (gamma0 - delta), 2.0 * g * g), m)
+    q1 = row_value((-omega0 * gamma0, -2.0 * g * omega0, -g * gamma0, -2.0 * g * g), m)
+    du = row_value(
+        (-omega0 * gamma0, -g * (2.0 * omega0 + deltaL), -0.5 * g * (gamma0 + delta), 0.0), m
+    )
+    q1_abs = row_value(absorptive, m)
+    q1_em = row_value(emission, m)
+    w1_int = row_value((0.0, -g * deltaL, -0.5 * g * (gamma0 + delta), 0.0), m)
+    w1_reac = row_value(reactive, m)
     return ThermoReport(
         W1=w1,
         Q1=q1,
@@ -170,5 +191,5 @@ def thermo_report(
         residual_first_law=du - (w1 + q1),
         residual_Q_split=q1 - (q1_abs + q1_em),
         residual_W_split=w1 - (w1_int + w1_reac),
-        grid_meta=f"trapezoid n={grid.n} spacing={grid.spacing:.6g}",
+        grid_meta=f"trapezoid n={traj.grid.n} spacing={traj.grid.spacing:.6g}",
     )

@@ -3,9 +3,9 @@
 The run set drives the first-law, split, and closed-form-vs-ODE checks:
 run 0 is always the confluent resonant case and the remaining 49 draw
 bandwidth log-uniformly over [0.01, 10] and detuning uniformly over
-[-5, 5] from a fixed seed, so failures reproduce.  Wall-clock time is
-recorded per phase (thermo, ODE comparison, Bloch decomposition) for the
-runtime assertions.
+[-5, 5] from a fixed seed, so failures reproduce; the Hypothesis
+examples are pinned the same way.  Wall-clock time is recorded per phase
+(thermo, ODE comparison, Bloch decomposition) for the runtime assertions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from photon_work.analysis import compare_equivalences
 from photon_work.dynamics import (
@@ -41,6 +42,11 @@ from photon_work.thermo import ThermoReport, thermo_report
 
 RUN_SEED = 20240817
 N_RUNS = 50
+
+# Every run draws the same Hypothesis examples, with or without a local
+# example database; each test keeps its own max_examples.
+settings.register_profile("pinned", derandomize=True, database=None)
+settings.load_profile("pinned")
 
 
 def run_step(rate: float) -> float:

@@ -77,7 +77,6 @@ def test_params_are_immutable():
 def test_uniform_grid_shape():
     grid = uniform_grid(10.0, 0.5)
     times = grid.times()
-    assert grid.t0 == 0.0
     assert grid.n == 21
     assert grid.spacing == 0.5
     assert times[0] == 0.0

@@ -140,7 +140,7 @@ def _bloch_reference(system, pulse, grid, amplitude_scale):
     dec_re = 0.5 * pulse.delta
     dec_im = pulse.deltaL
     h = grid.spacing
-    _bloch_loop(n, h, grid.t0, system.gamma0, system.g, amp, dec_re, dec_im, *out)
+    _bloch_loop(n, h, 0.0, system.gamma0, system.g, amp, dec_re, dec_im, *out)
     return out
 
 
@@ -173,7 +173,7 @@ def test_scan_matches_step_by_step_rk4(sys1, delta, deltaL, scale, steps):
     if steps is None:
         grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-9, max_step=h)
     else:
-        grid = TimeGrid(t0=0.0, tf=steps * h, n=steps + 1, spacing=h)
+        grid = TimeGrid(n=steps + 1, spacing=h)
     bt = integrate_bloch(sys1, pulse, grid, amplitude_scale=scale)
     ref = _bloch_reference(sys1, pulse, grid, scale)
     drive = bt.amplitude_scale * envelope_at(sys1, pulse, grid.times())
