@@ -30,9 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import closed_form_trajectory, full_cycle_grid
+from .dynamics import DEFAULT_CYCLE_TOL, closed_form_trajectory, full_cycle_grid
 from .model import PulseParams, SystemParams, default_step, make_pulse, rate_scale
-from .semiclassical import integrate_bloch, work_total_and_decomposition
+from .semiclassical import (
+    SemiclassicalReport,
+    integrate_bloch,
+    work_total_and_decomposition,
+)
 from .thermo import ThermoReport, thermo_report
 
 __all__ = [
@@ -64,16 +68,11 @@ class RegimeFlags:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Paired quantum/semiclassical energies and their relative errors."""
+    """The photon's and the drive's reports on one grid, and the relative
+    errors of the pairs W1/W_reac, Q1_abs/W_abs and Q1_em/Q_alpha."""
 
-    system: SystemParams
-    pulse: PulseParams
-    w1: float
-    w_reac_alpha: float
-    q1_abs: float
-    w_abs_alpha: float
-    q1_em: float
-    q_alpha: float
+    photon: ThermoReport
+    drive: SemiclassicalReport
     rel_err_work_reactive: float
     rel_err_heat_absorbed: float
     rel_err_heat_emitted: float
@@ -82,21 +81,15 @@ class EquivalenceReport:
 
 @dataclass(frozen=True, eq=False)
 class DetuningScan:
-    """Thermo functionals on a laser-detuning sweep at fixed bandwidth.
+    """Thermo reports on a laser-detuning sweep at fixed bandwidth.
 
-    ``antisymmetry`` lists (|deltaL|, |W1(+deltaL) + W1(-deltaL)|) for
-    every detuning whose mirror value is also in the sweep.
+    ``reports[i]`` is the report at ``deltaL[i]``.  ``antisymmetry`` lists
+    (|deltaL|, |W1(+deltaL) + W1(-deltaL)|) for every detuning whose
+    mirror value is also in the sweep.
     """
 
-    delta: float
     deltaL: np.ndarray
-    W1: np.ndarray
-    Q1: np.ndarray
-    Q1_abs: np.ndarray
-    Q1_em: np.ndarray
-    res_first_law: np.ndarray
-    res_q_split: np.ndarray
-    res_w_split: np.ndarray
+    reports: tuple[ThermoReport, ...]
     antisymmetry: tuple
 
 
@@ -119,7 +112,7 @@ def compare_equivalences(
     system: SystemParams,
     pulse: PulseParams,
     max_step: float | None = None,
-    cycle_tol: float = 1e-12,
+    cycle_tol: float = DEFAULT_CYCLE_TOL,
 ) -> EquivalenceReport:
     """Run both pipelines on a full cycle and compare the three pairs.
 
@@ -159,14 +152,8 @@ def compare_equivalences(
         ),
     )
     return EquivalenceReport(
-        system=system,
-        pulse=pulse,
-        w1=rep.W1,
-        w_reac_alpha=srep.W_reac,
-        q1_abs=rep.Q1_abs,
-        w_abs_alpha=srep.W_abs,
-        q1_em=rep.Q1_em,
-        q_alpha=srep.Q_alpha,
+        photon=rep,
+        drive=srep,
         rel_err_work_reactive=_rel_err(rep.W1, srep.W_reac),
         rel_err_heat_absorbed=_rel_err(rep.Q1_abs, srep.W_abs),
         rel_err_heat_emitted=_rel_err(rep.Q1_em, srep.Q_alpha),
@@ -179,7 +166,7 @@ def detuning_scan(
     delta: float,
     deltaL_list,
     max_step: float | None = None,
-    cycle_tol: float = 1e-12,
+    cycle_tol: float = DEFAULT_CYCLE_TOL,
 ) -> DetuningScan:
     """Closed-form thermo sweep over laser detunings at fixed bandwidth.
 
@@ -202,21 +189,11 @@ def detuning_scan(
     with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
         reports = list(pool.map(point, pulses))
 
-    w1 = np.array([r.W1 for r in reports])
     pairs = []
     for i, d in enumerate(values):
         if d > 0 and -d in values:
             j = values.index(-d)
-            pairs.append((d, abs(w1[i] + w1[j])))
+            pairs.append((d, abs(reports[i].W1 + reports[j].W1)))
     return DetuningScan(
-        delta=delta,
-        deltaL=np.array(values),
-        W1=w1,
-        Q1=np.array([r.Q1 for r in reports]),
-        Q1_abs=np.array([r.Q1_abs for r in reports]),
-        Q1_em=np.array([r.Q1_em for r in reports]),
-        res_first_law=np.array([r.residual_first_law for r in reports]),
-        res_q_split=np.array([r.residual_Q_split for r in reports]),
-        res_w_split=np.array([r.residual_W_split for r in reports]),
-        antisymmetry=tuple(pairs),
+        deltaL=np.array(values), reports=tuple(reports), antisymmetry=tuple(pairs)
     )

@@ -30,10 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import compare_equivalences, detuning_scan
-from .dynamics import closed_form_psi, closed_form_trajectory, full_cycle_grid
+from .dynamics import (
+    DEFAULT_CYCLE_TOL,
+    closed_form_psi,
+    closed_form_trajectory,
+    full_cycle_grid,
+)
 from .effective import effective_trajectory
 from .model import (
     DEFAULT_STEP_CAP,
+    PulseParams,
     SystemParams,
     make_pulse,
     make_system,
@@ -46,7 +52,7 @@ from .oracle import (
     make_mode_grid,
     propagate,
 )
-from .thermo import thermo_report
+from .thermo import ThermoReport, thermo_report
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -71,7 +77,7 @@ class RunConfig:
     delta: float = 1.0
     omegaL: float | None = None
     step: float | None = None
-    cycle_tol: float = 1e-12
+    cycle_tol: float = DEFAULT_CYCLE_TOL
     out: str = "run"
     traj_stride: int = 1
     deltaL_values: tuple = _DEFAULT_DELTAL_VALUES
@@ -177,11 +183,11 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"omegaL and deltaL are exclusive (line {second})")
         lines["omegaL"] = lines["deltaL"]
         values["omegaL"] = omega0 + values.pop("deltaL")
-    config = RunConfig(**{"omegaL": omega0, **values})
+    config = RunConfig(**values)
 
     try:
         system = make_system(config.gamma0, omega0=config.omega0, rho0=config.rho0)
-        make_pulse(config.delta, config.omegaL, system)
+        _pulse(config, system, config.delta)
     except ValueError as exc:
         key = str(exc).split()[0]
         raise ValueError(_with_line(str(exc), lines.get(key))) from None
@@ -204,13 +210,18 @@ def _write_csv(path: str, columns: dict) -> None:
     print(f"wrote {path}")
 
 
-def _residual_violations(residuals, omega0: float, tol: float, where="") -> list:
-    """Gate (first-law, heat-split, work-split) residuals of one run."""
-    names = ("res_first_law", "res_q_split", "res_w_split")
-    thresholds = (tol * omega0, tol * omega0, tol)
+def _residual_violations(
+    report: ThermoReport, omega0: float, tol: float, where: str = ""
+) -> list:
+    """Gate the first-law, heat-split and work-split residuals of one run."""
+    gates = (
+        ("res_first_law", report.residual_first_law, tol * omega0),
+        ("res_q_split", report.residual_Q_split, tol * omega0),
+        ("res_w_split", report.residual_W_split, tol),
+    )
     return [
         f"{name}={val:.6e} exceeds {thr:.6e}{where}"
-        for name, val, thr in zip(names, residuals, thresholds)
+        for name, val, thr in gates
         if abs(val) > thr
     ]
 
@@ -221,12 +232,14 @@ def _exit_status(violations: list) -> int:
     return 2 if violations else 0
 
 
-def _effective_omegaL(config: RunConfig) -> float:
-    return config.omegaL if config.omegaL is not None else config.omega0
+def _pulse(config: RunConfig, system: SystemParams, delta: float) -> PulseParams:
+    """The configured pulse at bandwidth ``delta``, resonant if omegaL is unset."""
+    omegaL = system.omega0 if config.omegaL is None else config.omegaL
+    return make_pulse(delta, omegaL, system)
 
 
 def _run_single(config: RunConfig, system: SystemParams) -> int:
-    pulse = make_pulse(config.delta, _effective_omegaL(config), system)
+    pulse = _pulse(config, system, config.delta)
     grid = full_cycle_grid(
         system, pulse, cycle_tol=config.cycle_tol, max_step=config.step
     )
@@ -237,7 +250,7 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
         f"mode=single gamma0={system.gamma0:g} omega0={system.omega0:g} "
         f"delta={pulse.delta:g} deltaL={pulse.deltaL:g}"
     )
-    print(rep.grid_meta)
+    print(f"trapezoid n={grid.n} spacing={grid.spacing:.6g}")
 
     rows = slice(None, None, config.traj_stride)
     trajectory = {
@@ -271,10 +284,7 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
     )
     for name, val in summary.items():
         print(f"{name} = {val:.9g}")
-    residuals = (rep.residual_first_law, rep.residual_Q_split, rep.residual_W_split)
-    return _exit_status(
-        _residual_violations(residuals, system.omega0, config.residual_tol)
-    )
+    return _exit_status(_residual_violations(rep, system.omega0, config.residual_tol))
 
 
 def _run_detuning(config: RunConfig, system: SystemParams) -> int:
@@ -289,45 +299,44 @@ def _run_detuning(config: RunConfig, system: SystemParams) -> int:
         f"mode=detuning_scan delta={config.delta:g} "
         f"points={len(scan.deltaL)}"
     )
-    columns = ("deltaL", "W1", "Q1", "Q1_abs", "Q1_em")
+    values = ("W1", "Q1", "Q1_abs", "Q1_em")
     _write_csv(
-        f"{config.out}_scan.csv", {name: getattr(scan, name) for name in columns}
+        f"{config.out}_scan.csv",
+        {"deltaL": scan.deltaL}
+        | {name: [getattr(rep, name) for rep in scan.reports] for name in values},
     )
     for d, resid in scan.antisymmetry:
         print(f"antisymmetry |W1({d:g}) + W1({-d:g})| = {resid:.3e}")
-
-    residuals = zip(scan.res_first_law, scan.res_q_split, scan.res_w_split)
     return _exit_status(
         [
             v
-            for d, res in zip(scan.deltaL, residuals)
+            for d, rep in zip(scan.deltaL, scan.reports)
             for v in _residual_violations(
-                res, system.omega0, config.residual_tol, f" at deltaL={d:g}"
+                rep, system.omega0, config.residual_tol, f" at deltaL={d:g}"
             )
         ]
     )
 
 
 def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
-    omegaL = _effective_omegaL(config)
     errors = ("rel_err_work_reactive", "rel_err_heat_absorbed", "rel_err_heat_emitted")
     columns: dict = {}
     violations = []
     for d in deltas:
         rep = compare_equivalences(
             system,
-            make_pulse(d, omegaL, system),
+            _pulse(config, system, d),
             max_step=config.step,
             cycle_tol=config.cycle_tol,
         )
         row = {
             "delta": d,
-            "w1": rep.w1,
-            "w_reac_alpha": rep.w_reac_alpha,
-            "q1_abs": rep.q1_abs,
-            "w_abs_alpha": rep.w_abs_alpha,
-            "q1_em": rep.q1_em,
-            "q_alpha": rep.q_alpha,
+            "w1": rep.photon.W1,
+            "w_reac_alpha": rep.drive.W_reac,
+            "q1_abs": rep.photon.Q1_abs,
+            "w_abs_alpha": rep.drive.W_abs,
+            "q1_em": rep.photon.Q1_em,
+            "q_alpha": rep.drive.Q_alpha,
             **{name: getattr(rep, name) for name in errors},
             "delta_over_gamma0": rep.regime.delta_over_gamma0,
             "max_pop_quantum": rep.regime.max_pop_quantum,
@@ -341,10 +350,19 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
             + " ".join(f"{name}={row[name]:.4g}" for name in errors)
             + f" in_regime={int(rep.regime.in_regime)}"
         )
+        where = f" at delta={d:g}"
+        violations += _residual_violations(
+            rep.photon, system.omega0, config.residual_tol, where
+        )
+        res_drive = rep.drive.residual_decomposition
+        if abs(res_drive) > config.residual_tol:
+            violations.append(
+                f"res_decomposition={res_drive:.6e} exceeds "
+                f"{config.residual_tol:.6e}{where}"
+            )
         if rep.regime.in_regime:
             violations += [
-                f"{name}={row[name]:.6e} exceeds {config.equiv_tol:.6e} "
-                f"at delta={d:g}"
+                f"{name}={row[name]:.6e} exceeds {config.equiv_tol:.6e}{where}"
                 for name in errors
                 if row[name] > config.equiv_tol
             ]
@@ -353,7 +371,7 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
 
 
 def _run_oracle(config: RunConfig, system: SystemParams) -> int:
-    pulse = make_pulse(config.delta, _effective_omegaL(config), system)
+    pulse = _pulse(config, system, config.delta)
     mode_grid = make_mode_grid(system, config.half_width, config.n_modes)
     state = init_single_photon(system, pulse, mode_grid)
     # The expansion is exact in time: the step only sets the sampling.
@@ -404,12 +422,8 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one config; write artifacts next to the ``out`` prefix.
-
-    Returns the process exit status: 0 on success, 2 when an enforced
-    residual exceeds its tolerance, the oracle horizon reaches the comb
-    revival time or the oracle error exceeds ``ORACLE_ABS_TOL``.
-    """
+    """Execute one config, write artifacts next to the ``out`` prefix and
+    return the exit status described in the module docstring."""
     system = make_system(config.gamma0, omega0=config.omega0, rho0=config.rho0)
     if config.mode == "single":
         return _run_single(config, system)

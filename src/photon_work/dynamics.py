@@ -38,32 +38,34 @@ __all__ = [
     "integrate_psi",
     "full_cycle_grid",
     "CONFLUENT_THRESHOLD",
+    "DEFAULT_CYCLE_TOL",
 ]
 
 # Switch to the degenerate-denominator limit below this |(gamma0-delta)/2 - i deltaL|.
 CONFLUENT_THRESHOLD = 1e-8
+
+# Default end-population target of a full-cycle grid.
+DEFAULT_CYCLE_TOL = 1e-12
 
 _CHUNK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
-    """Sampled rotating-frame amplitudes of emitter and pulse.
+    """Sampled rotating-frame amplitude of the emitter; the envelope that
+    drove it is recomputed from ``system`` and ``pulse``, not stored.
 
     Attributes
     ----------
     grid : TimeGrid
     psi : ndarray
         Complex emitter amplitudes ``psi(t_k)``; ``psi[0] = 0``.
-    phi : ndarray
-        Complex pulse envelope samples ``phi(0, t_k)``.
     system : SystemParams
     pulse : PulseParams
     """
 
     grid: TimeGrid
     psi: np.ndarray
-    phi: np.ndarray
     system: SystemParams
     pulse: PulseParams
 
@@ -105,12 +107,10 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
 def closed_form_trajectory(
     system: SystemParams, pulse: PulseParams, grid: TimeGrid
 ) -> AmplitudeTrajectory:
-    """Sample the closed form on a grid, with the envelope alongside."""
-    times = grid.times()
+    """Sample the closed form on a grid."""
     return AmplitudeTrajectory(
         grid=grid,
-        psi=closed_form_psi(system, pulse, times),
-        phi=envelope_at(system, pulse, times),
+        psi=closed_form_psi(system, pulse, grid.times()),
         system=system,
         pulse=pulse,
     )
@@ -144,8 +144,6 @@ def integrate_psi(
     c_node = 1.0 + mu * (1.0 + mu * (0.5 + mu * 0.25))
     c_half = 4.0 + mu * (2.0 + mu * 0.5)
 
-    times = grid.times()
-    phi = envelope_at(system, pulse, times)
     n = grid.n
     psi = np.empty(n, dtype=complex)
     psi[0] = 0.0
@@ -153,14 +151,15 @@ def integrate_psi(
     zi = np.zeros(1, dtype=complex)
     for i0 in range(0, n - 1, _CHUNK):
         i1 = min(i0 + _CHUNK, n - 1)
+        nodes = envelope_at(system, pulse, np.arange(i0, i1 + 1) * h)
         t_half = (np.arange(i0, i1) + 0.5) * h
         u_half = -g * envelope_at(system, pulse, t_half)
-        u_lo = -g * phi[i0:i1]
-        u_hi = -g * phi[i0 + 1 : i1 + 1]
+        u_lo = -g * nodes[:-1]
+        u_hi = -g * nodes[1:]
         b_drive = (h / 6.0) * (c_node * u_lo + c_half * u_half + u_hi)
         seg, zi = lfilter([1.0], [1.0, -a_step], b_drive, zi=zi)
         psi[i0 + 1 : i1 + 1] = seg
-    return AmplitudeTrajectory(grid=grid, psi=psi, phi=phi, system=system, pulse=pulse)
+    return AmplitudeTrajectory(grid=grid, psi=psi, system=system, pulse=pulse)
 
 
 def _population_bound(system: SystemParams, pulse: PulseParams, t: float) -> float:
@@ -184,7 +183,7 @@ def _population_bound(system: SystemParams, pulse: PulseParams, t: float) -> flo
 def full_cycle_grid(
     system: SystemParams,
     pulse: PulseParams,
-    cycle_tol: float,
+    cycle_tol: float = DEFAULT_CYCLE_TOL,
     max_step: float | None = None,
 ) -> TimeGrid:
     """Grid long enough that the emitter has fully re-radiated.

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dynamics import AmplitudeTrajectory
 from .model import TimeGrid
+from .pulse import envelope_at
 
 __all__ = [
     "EffectiveTrajectory",
@@ -68,7 +69,8 @@ class EffectiveTrajectory:
 
 def effective_trajectory(traj: AmplitudeTrajectory) -> EffectiveTrajectory:
     """Derive all effective parameters from an amplitude trajectory."""
-    z = traj.phi * np.conj(traj.psi)
+    phi = envelope_at(traj.system, traj.pulse, traj.grid.times())
+    z = phi * np.conj(traj.psi)
     pop = np.abs(traj.psi) ** 2
     g = traj.system.g
     valid = pop > DEFAULT_ETA * pop.max()

@@ -180,17 +180,6 @@ def _scan(maps, state):
     return states.transpose(1, 2, 0).reshape(3, nblocks * size)[:, :m]
 
 
-def _drive(traj: BlochTrajectory, sl: slice) -> np.ndarray:
-    """Drive applied at the nodes in ``sl``, at integrate_bloch's times k h.
-
-    Callers bind the result to a name before multiplying by it: numpy
-    would otherwise write the product into this temporary's buffer, and
-    that in-place loop can round differently in the last bit.
-    """
-    t = np.arange(sl.start, sl.stop) * traj.grid.spacing
-    return traj.amplitude_scale * envelope_at(traj.system, traj.pulse, t)
-
-
 def integrate_bloch(
     system: SystemParams,
     pulse: PulseParams,
@@ -317,7 +306,14 @@ def work_total_and_decomposition(
     deltaL = traj.pulse.deltaL
 
     check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
-    m = energy_moments(traj.grid, traj.rho_eg, lambda sl: _drive(traj, sl), traj.rho_ee)
+    m = energy_moments(
+        traj.grid,
+        traj.system,
+        traj.pulse,
+        traj.rho_eg,
+        population=traj.rho_ee,
+        amplitude_scale=traj.amplitude_scale,
+    )
     reactive, absorptive, emission = shared_rows(traj.system)
     w_alpha = row_value((0.0, -2.0 * g * (omega0 + deltaL), -g * delta, 0.0), m)
     w_int = row_value((0.0, -2.0 * g * deltaL, -g * (gamma0 + delta), 0.0), m)

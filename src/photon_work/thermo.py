@@ -51,7 +51,8 @@ import numpy as np
 
 from .dynamics import AmplitudeTrajectory
 from .effective import DEFAULT_ETA
-from .model import SystemParams, TimeGrid
+from .model import PulseParams, SystemParams, TimeGrid
+from .pulse import envelope_at
 
 __all__ = [
     "ThermoReport",
@@ -89,17 +90,23 @@ class ThermoReport:
     residual_first_law: float
     residual_Q_split: float
     residual_W_split: float
-    grid_meta: str
 
 
-def energy_moments(grid: TimeGrid, coherence, drive, population=None) -> tuple:
+def energy_moments(
+    grid: TimeGrid,
+    system: SystemParams,
+    pulse: PulseParams,
+    coherence,
+    population=None,
+    amplitude_scale: float = 1.0,
+) -> tuple:
     """The four trapezoid moments m of one run (module docstring).
 
-    ``coherence`` is psi or rho_eg on ``grid`` and ``drive(sl)`` the drive
-    (phi or alpha) at the samples in slice ``sl``.  ``population`` is
-    rho_ee, or None for the photon: p = |psi|^2 and occ = 1.  The samples
-    are walked in chunks of ``_CHUNK`` steps that share their end samples,
-    which bounds the memory of the per-sample arrays.
+    ``coherence`` is psi or rho_eg on ``grid``; the drive (phi or alpha)
+    is ``amplitude_scale`` times the envelope of ``pulse`` at the times
+    k h.  ``population`` is rho_ee, or None for the photon: p = |psi|^2
+    and occ = 1.  Chunks of ``_CHUNK`` steps share their end samples,
+    which bounds the memory of the per-sample arrays, the drive included.
     """
     n, h = grid.n, grid.spacing
     mod2 = np.abs(coherence) ** 2
@@ -107,7 +114,10 @@ def energy_moments(grid: TimeGrid, coherence, drive, population=None) -> tuple:
     sums = [0.0] * 4
     for lo in range(0, max(n - 1, 1), _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, n - 1) + 1)
-        d = drive(sl)
+        # Bound to a name before the product: numpy would otherwise write
+        # the product into this temporary's buffer, and that in-place loop
+        # can round differently in the last bit.
+        d = amplitude_scale * envelope_at(system, pulse, np.arange(lo, sl.stop) * h)
         u = d * np.conj(coherence[sl])
         m = mod2[sl]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +179,7 @@ def thermo_report(
     deltaL = traj.pulse.deltaL
 
     check_full_cycle(float(np.abs(traj.psi[-1]) ** 2), allow_partial)
-    m = energy_moments(traj.grid, traj.psi, lambda sl: traj.phi[sl])
+    m = energy_moments(traj.grid, traj.system, traj.pulse, traj.psi)
     reactive, absorptive, emission = shared_rows(traj.system)
     w1 = row_value((0.0, -g * deltaL, 0.5 * g * (gamma0 - delta), 2.0 * g * g), m)
     q1 = row_value((-omega0 * gamma0, -2.0 * g * omega0, -g * gamma0, -2.0 * g * g), m)
@@ -191,5 +201,4 @@ def thermo_report(
         residual_first_law=du - (w1 + q1),
         residual_Q_split=q1 - (q1_abs + q1_em),
         residual_W_split=w1 - (w1_int + w1_reac),
-        grid_meta=f"trapezoid n={traj.grid.n} spacing={traj.grid.spacing:.6g}",
     )

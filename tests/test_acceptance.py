@@ -164,9 +164,10 @@ def test_criterion_07_far_detuned_suppression(system):
 
     scan = detuning_scan(system, delta, list(detunings))
     ref = [_w1_reference(system.gamma0, delta, d) for d in detunings]
-    for d, got, want in zip(detunings, scan.W1, ref):
+    w1 = [rep.W1 for rep in scan.reports]
+    for d, got, want in zip(detunings, w1, ref):
         assert abs(got / want - 1.0) < 1e-8, f"W1({d}) = {got!r}, ref {want!r}"
-    ratio = scan.W1[1] / scan.W1[0]
+    ratio = w1[1] / w1[0]
     ref_ratio = ref[1] / ref[0]
     assert abs(ratio / ref_ratio - 1.0) < 1e-8, (
         f"W1(20) / W1(1) = {ratio!r}, ref {ref_ratio!r}"

@@ -27,8 +27,9 @@ from photon_work.thermo import thermo_report
 
 def test_empty_text_gives_defaults():
     cfg = parse_config("")
-    # omegaL resolves to resonance; everything else is the field default.
-    assert cfg == RunConfig(omegaL=100.0)
+    # omegaL stays unset (resonance) like every other field default.
+    assert cfg == RunConfig()
+    assert cfg.omegaL is None
     assert cfg.mode == "single"
     assert cfg.step is None
     assert cfg.cycle_tol == 1e-12
@@ -178,6 +179,15 @@ def test_single_mode_artifacts(workdir, capsys):
     assert len(traj) > 100  # strided but still resolving the cycle
 
 
+def test_single_mode_prints_the_grid_it_used(workdir, capsys):
+    cfg = _write(workdir, "mode=single\ndelta=0.5\ndeltaL=0.3\ntraj_stride=500\n")
+    assert main([cfg]) == 0
+    system = make_system()
+    grid = full_cycle_grid(system, make_pulse(0.5, 100.3, system))
+    lines = capsys.readouterr().out.splitlines()
+    assert f"trapezoid n={grid.n} spacing={grid.spacing:.6g}" in lines
+
+
 def test_rerun_is_byte_identical(workdir):
     text = "mode=single\ndelta=0.5\ndeltaL=0.3\nout=rep\ntraj_stride=50\n"
     cfg = _write(workdir, text)
@@ -243,6 +253,18 @@ def test_exit_2_names_violated_residual(workdir, capsys):
     assert "residual violation:" in err and "exceeds" in err
 
 
+def test_equivalence_mode_exit_2_names_violated_residual(workdir, capsys):
+    # Both reports' residuals are rounding noise, far above 1e-18.
+    cfg = _write(
+        workdir, "mode=equivalence\ndelta=0.05\ndeltaL=0.2\nresidual_tol=1e-18\n"
+    )
+    assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert "residual violation: res_first_law=" in err
+    assert "residual violation: res_decomposition=" in err
+    assert " at delta=0.05" in err
+
+
 def test_detuning_scan_mode(workdir, capsys):
     cfg = _write(
         workdir,
@@ -274,12 +296,12 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
     rep = compare_equivalences(system, make_pulse(0.1, 100.2, system))
     expected = [
         0.1,
-        rep.w1,
-        rep.w_reac_alpha,
-        rep.q1_abs,
-        rep.w_abs_alpha,
-        rep.q1_em,
-        rep.q_alpha,
+        rep.photon.W1,
+        rep.drive.W_reac,
+        rep.photon.Q1_abs,
+        rep.drive.W_abs,
+        rep.photon.Q1_em,
+        rep.drive.Q_alpha,
         rep.rel_err_work_reactive,
         rep.rel_err_heat_absorbed,
         rep.rel_err_heat_emitted,
@@ -327,9 +349,10 @@ def test_detuning_mode_default_step_is_the_library_default(workdir):
     )
     assert main([cfg]) == 0
     scan = detuning_scan(make_system(), 0.5, [-0.4, 0.4], cycle_tol=1e-10)
-    expected = np.column_stack(
-        [scan.deltaL, scan.W1, scan.Q1, scan.Q1_abs, scan.Q1_em]
-    ).tolist()
+    expected = [
+        [d, rep.W1, rep.Q1, rep.Q1_abs, rep.Q1_em]
+        for d, rep in zip(scan.deltaL.tolist(), scan.reports)
+    ]
     lines = (workdir / "dd_scan.csv").read_text().splitlines()
     assert [[float(f) for f in line.split(",")] for line in lines[1:]] == expected
 

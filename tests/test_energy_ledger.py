@@ -28,7 +28,8 @@ def _photon_integrands(traj):
     gamma0, omega0, g = traj.system.gamma0, traj.system.omega0, traj.system.g
     delta, deltaL = traj.pulse.delta, traj.pulse.deltaL
     p = np.abs(traj.psi) ** 2
-    z = traj.phi * np.conj(traj.psi)
+    phi = envelope_at(traj.system, traj.pulse, traj.grid.times())
+    z = phi * np.conj(traj.psi)
     rez, imz = z.real, z.imag
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(p > DEFAULT_ETA * p.max(), rez * imz / p, 0.0)

@@ -1,6 +1,6 @@
-"""Every exported name resolves and follows the (system, pulse) calling
-convention and the step naming rule, in the package and in each
-submodule."""
+"""Every exported name resolves, and every exported callable and every
+function a module defines, private helpers included, follows the
+(system, pulse) calling convention and the step naming rule."""
 
 from __future__ import annotations
 
@@ -13,6 +13,17 @@ import pytest
 import photon_work
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(photon_work.__path__))
+
+
+def _callables(mod):
+    """Exported callables and the functions ``mod`` itself defines, by name."""
+    exported = {name: getattr(mod, name) for name in mod.__all__}
+    defined = {
+        name: obj
+        for name, obj in inspect.getmembers(mod, inspect.isfunction)
+        if obj.__module__ == mod.__name__
+    }
+    return {name: obj for name, obj in (exported | defined).items() if callable(obj)}
 
 
 @pytest.mark.parametrize("module", ["photon_work"] + [f"photon_work.{m}" for m in SUBMODULES])
@@ -29,10 +40,7 @@ def test_pulse_follows_system(module):
     ``system``, so the two can never be passed twice and disagree."""
     mod = importlib.import_module(module)
     bad = []
-    for name in mod.__all__:
-        obj = getattr(mod, name)
-        if not callable(obj):
-            continue
+    for name, obj in _callables(mod).items():
         try:
             params = list(inspect.signature(obj).parameters)
         except (TypeError, ValueError):
@@ -59,8 +67,8 @@ def test_step_means_an_exact_spacing(module):
     mod = importlib.import_module(module)
     bad = [
         name
-        for name in mod.__all__
-        if inspect.isfunction(obj := getattr(mod, name))
+        for name, obj in _callables(mod).items()
+        if inspect.isfunction(obj)
         and name not in EXACT_STEP
         and "step" in inspect.signature(obj).parameters
     ]
