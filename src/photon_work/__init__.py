@@ -51,7 +51,7 @@ from .semiclassical import (
     work_reactive,
     work_total_and_decomposition,
 )
-from .thermo import ThermoReport, thermo_report
+from .thermo import ThermoReport, photon_report, thermo_report
 from .cli import RunConfig, parse_config, run
 
 __version__ = "0.1.0"
@@ -88,6 +88,7 @@ __all__ = [
     "make_system",
     "normalization",
     "parse_config",
+    "photon_report",
     "propagate",
     "run",
     "susceptibility",

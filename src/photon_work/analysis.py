@@ -7,10 +7,12 @@ coherent-drive counterpart in the narrowband low-excitation regime:
     Q1_abs  <->  absorptive drive work
     Q1_em   <->  drive heat
 
-All three drive-side values come from the time-domain work decomposition
-of a Bloch trajectory driven by the same envelope; in the low-excitation
-regime the coherence tracks the quantum amplitude pointwise, so the
-paired integrals converge as the bandwidth shrinks.  (The frequency
+The photon's side is grid-free (``thermo.photon_report`` and
+``dynamics.peak_population``).  All three drive-side values come from the
+time-domain work decomposition of a Bloch trajectory driven by the same
+envelope on a full-cycle grid; in the low-excitation regime the
+coherence tracks the quantum amplitude pointwise, so the paired
+integrals converge as the bandwidth shrinks.  (The frequency
 domain quadratures in the semiclassical module target the quasi-steady
 tail only and drop a turn-on transient of the same order, so they are
 not used for the reactive pair.)
@@ -20,24 +22,23 @@ floor, since both members of the first pair vanish at zero detuning.
 Regime indicators (bandwidth ratio and both peak populations) are always
 recorded; equivalence is only a meaningful claim when the pulse is
 narrowband (delta <= 0.01 gamma0) and both excitations stay below 0.02.
+Detuning sweeps are grid-free too: one ``photon_report`` per detuning.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_CYCLE_TOL, closed_form_trajectory, full_cycle_grid
-from .model import PulseParams, SystemParams, default_step, make_pulse, rate_scale
+from .dynamics import DEFAULT_CYCLE_TOL, full_cycle_grid, peak_population
+from .model import PulseParams, SystemParams, make_pulse
 from .semiclassical import (
     SemiclassicalReport,
     integrate_bloch,
     work_total_and_decomposition,
 )
-from .thermo import ThermoReport, thermo_report
+from .thermo import ThermoReport, photon_report
 
 __all__ = [
     "RegimeFlags",
@@ -53,7 +54,6 @@ REGIME_DELTA_MAX = 0.01
 REGIME_POP_MAX = 0.02
 
 _EQUIV_STEP_CAP = 5e-3
-_SCAN_STEP_CAP = 5e-4
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ class RegimeFlags:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The photon's and the drive's reports on one grid, and the relative
-    errors of the pairs W1/W_reac, Q1_abs/W_abs and Q1_em/Q_alpha."""
+    """The photon's grid-free report, the drive's report on a full-cycle
+    grid, and the relative errors of the pairs W1/W_reac, Q1_abs/W_abs and
+    Q1_em/Q_alpha."""
 
     photon: ThermoReport
     drive: SemiclassicalReport
@@ -97,44 +98,31 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("PHOTON_WORK_THREADS", "").strip()
-    if not env:
-        return max(1, min(8, os.cpu_count() or 1, n_jobs))
-    if not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(
-            f"PHOTON_WORK_THREADS must be a positive integer, got '{env}'"
-        )
-    return int(env)
-
-
 def compare_equivalences(
     system: SystemParams,
     pulse: PulseParams,
     max_step: float | None = None,
     cycle_tol: float = DEFAULT_CYCLE_TOL,
 ) -> EquivalenceReport:
-    """Run both pipelines on a full cycle and compare the three pairs.
+    """Run both pipelines over a full cycle and compare the three pairs.
 
     Parameters
     ----------
     system : SystemParams
     pulse : PulseParams
     max_step : float, optional
-        Cap passed to :func:`full_cycle_grid`; unset, 5e-3, fine enough
-        that the quadrature error is far below the equivalence scale even
-        for the very long grids that narrowband pulses need.
+        Cap passed to :func:`full_cycle_grid` for the drive's Bloch pair;
+        unset, 5e-3, fine enough that the quadrature error is far below
+        the equivalence scale even for the very long grids that narrowband
+        pulses need.  The photon's side has no grid.
     cycle_tol : float
         Full-cycle population tolerance passed to the grid builder.
     """
+    rep = photon_report(system, pulse)
+    max_pop_q = peak_population(system, pulse)
+
     cap = _EQUIV_STEP_CAP if max_step is None else max_step
     grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, max_step=cap)
-
-    traj = closed_form_trajectory(system, pulse, grid)
-    rep = thermo_report(traj)
-    max_pop_q = float(np.max(np.abs(traj.psi) ** 2))
-    del traj
-
     btraj = integrate_bloch(system, pulse, grid)
     srep = work_total_and_decomposition(btraj)
     max_pop_s = float(np.max(btraj.rho_ee))
@@ -161,39 +149,19 @@ def compare_equivalences(
     )
 
 
-def detuning_scan(
-    system: SystemParams,
-    delta: float,
-    deltaL_list,
-    max_step: float | None = None,
-    cycle_tol: float = DEFAULT_CYCLE_TOL,
-) -> DetuningScan:
-    """Closed-form thermo sweep over laser detunings at fixed bandwidth.
-
-    Every point runs on one spacing, ``min(max_step, 0.02 / rate)`` at
-    the fastest rate of the sweep (unset, the cap is 5e-4), so mirrored
-    detunings share identical grids and the antisymmetry defect is a pure
-    physics statement.  Points run in parallel (capped by the
-    PHOTON_WORK_THREADS environment variable) and are aggregated in list
-    order, so results do not depend on scheduling.
+def detuning_scan(system: SystemParams, delta: float, deltaL_list) -> DetuningScan:
+    """Grid-free thermo sweep over laser detunings at fixed bandwidth: one
+    :func:`photon_report` per detuning, in list order.  Mirrored
+    detunings integrate on mirrored nodes, so the antisymmetry defect is
+    a pure physics statement.
     """
     values = [float(d) for d in deltaL_list]
-    pulses = [make_pulse(delta, system.omega0 + d, system) for d in values]
-    rate = max((rate_scale(system, p) for p in pulses), default=system.gamma0)
-    step = default_step(rate, _SCAN_STEP_CAP if max_step is None else max_step)
-
-    def point(pulse: PulseParams) -> ThermoReport:
-        grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, max_step=step)
-        return thermo_report(closed_form_trajectory(system, pulse, grid))
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-        reports = list(pool.map(point, pulses))
-
+    reports = tuple(
+        photon_report(system, make_pulse(delta, system.omega0 + d, system)) for d in values
+    )
     pairs = []
     for i, d in enumerate(values):
         if d > 0 and -d in values:
             j = values.index(-d)
             pairs.append((d, abs(reports[i].W1 + reports[j].W1)))
-    return DetuningScan(
-        deltaL=np.array(values), reports=tuple(reports), antisymmetry=tuple(pairs)
-    )
+    return DetuningScan(deltaL=np.array(values), reports=reports, antisymmetry=tuple(pairs))

@@ -2,8 +2,9 @@
 
 One config describes one run mode:
 
-    single          full-cycle trajectory + energy summary
-    detuning_scan   thermo functionals over a laser-detuning sweep
+    single          full-cycle trajectory + energy summary (grid-free)
+    detuning_scan   thermo functionals over a laser-detuning sweep (grid-free;
+                    step and cycle_tol have no effect)
     bandwidth_scan  quantum/semiclassical comparison over bandwidths
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
@@ -52,7 +53,7 @@ from .oracle import (
     make_mode_grid,
     propagate,
 )
-from .thermo import ThermoReport, thermo_report
+from .thermo import ThermoReport, photon_report
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -245,7 +246,7 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
     )
     traj = closed_form_trajectory(system, pulse, grid)
     eff = effective_trajectory(traj)
-    rep = thermo_report(traj)
+    rep = photon_report(system, pulse)
     print(
         f"mode=single gamma0={system.gamma0:g} omega0={system.omega0:g} "
         f"delta={pulse.delta:g} deltaL={pulse.deltaL:g}"
@@ -288,13 +289,7 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
 
 
 def _run_detuning(config: RunConfig, system: SystemParams) -> int:
-    scan = detuning_scan(
-        system,
-        config.delta,
-        config.deltaL_values,
-        max_step=config.step,
-        cycle_tol=config.cycle_tol,
-    )
+    scan = detuning_scan(system, config.delta, config.deltaL_values)
     print(
         f"mode=detuning_scan delta={config.delta:g} "
         f"points={len(scan.deltaL)}"

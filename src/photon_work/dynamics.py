@@ -8,16 +8,20 @@ where ``phi(0, t)`` is the pulse envelope at the emitter.  This module
 provides the closed-form solution and a fixed-step fourth-order (RK4)
 integration of the same equation, so each can serve as an oracle for the
 other.  Both store amplitudes in the frame rotating at ``omega0``; the
-lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.
+lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.  Grid-free
+integrals of the closed form (``thermo.closed_form_moments``, the peak
+population) share one Gauss-Legendre panel layout, :func:`_panels`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
+from scipy.optimize import brentq, minimize_scalar
 
 from .model import (
     DEFAULT_STEP_CAP,
@@ -37,17 +41,33 @@ __all__ = [
     "closed_form_trajectory",
     "integrate_psi",
     "full_cycle_grid",
-    "CONFLUENT_THRESHOLD",
+    "peak_population",
     "DEFAULT_CYCLE_TOL",
 ]
-
-# Switch to the degenerate-denominator limit below this |(gamma0-delta)/2 - i deltaL|.
-CONFLUENT_THRESHOLD = 1e-8
 
 # Default end-population target of a full-cycle grid.
 DEFAULT_CYCLE_TOL = 1e-12
 
 _CHUNK = 1 << 20
+
+# closed_form_psi keeps the plain difference of exponentials where
+# |a - b| t reaches this; it then loses at most four of its digits.
+_PLAIN_MIN = 1e-4
+# Taylor coefficients 1/(k+1)! of exprel, used for |z| below the radius:
+# the 16th term is below 2e-18 there.
+_SERIES_RADIUS = 0.5
+_EXPREL_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(16))
+
+# Gauss-Legendre panels: nodes per panel, panels per beat period, panels
+# of the tail, horizon in e-folds, panels evaluated (and bisected) per
+# block, and the bisection's agreement and depth (_panel_quadrature).
+_GL_NODES = 20
+_PANELS_PER_BEAT = 16
+_TAIL_PANELS = 40
+_EFOLDS = 40.0
+_PANEL_BLOCK = 4096
+_PANEL_TOL = 1e-13
+_MAX_BISECTIONS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +90,36 @@ class AmplitudeTrajectory:
     pulse: PulseParams
 
 
+def _exprel(z):
+    """``(e^z - 1) / z`` elementwise (1 at z = 0), with both components
+    accurate to a few ulps: a Taylor series for |z| < 0.5, ``expm1(z) / z``
+    beyond.  The real part of ``z`` must stay below about 709."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) < _SERIES_RADIUS
+    zs = z[small]
+    acc = np.full_like(zs, _EXPREL_COEFFS[-1])
+    for c in reversed(_EXPREL_COEFFS[:-1]):
+        acc = acc * zs + c
+    out[small] = acc
+    zl = z[~small]
+    out[~small] = np.expm1(zl) / zl
+    return out
+
+
 def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
     """Closed-form rotating-frame amplitude ``psi(t)``.
 
-    For distinct decay exponents this is
+    With a = gamma0/2 and b = delta/2 + i deltaL this is
 
-        sqrt(gamma0 delta / 2) (e^{-gamma0 t/2} - e^{-(delta/2 + i deltaL) t})
-            / ((gamma0 - delta)/2 - i deltaL).
+        sqrt(gamma0 delta / 2) (e^{-a t} - e^{-b t}) / (a - b).
 
-    When the denominator is smaller than ``CONFLUENT_THRESHOLD * gamma0``
-    the degenerate limit ``-sqrt(gamma0 delta / 2) t e^{-(delta/2 + i deltaL) t}``
-    is used instead of nudging parameters; that point (gamma0 = delta,
-    deltaL = 0) is the maximal-absorption case exercised by tests.
+    Where |a - b| t < 1e-4 the divided difference is evaluated as
+    ``-t e^{-b t} exprel(-(a - b) t)``, which stays accurate as a -> b and
+    gives the confluent limit ``-sqrt(gamma0 delta / 2) t e^{-b t}`` at
+    a = b (gamma0 = delta, deltaL = 0: the maximal-absorption case).
+    Elsewhere the plain difference is kept: its factors never overflow,
+    whereas ``expm1`` of (b - a) t does at delta << gamma0 on long grids.
 
     Parameters
     ----------
@@ -92,16 +130,122 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
     if np.any(tt < 0.0):
         raise ValueError("t must be >= 0")
     a = 0.5 * system.gamma0
-    b = 0.5 * pulse.delta + 1j * pulse.deltaL
-    denom = a - b
+    b = complex(0.5 * pulse.delta, pulse.deltaL)
+    d = a - b
     amp = math.sqrt(0.5 * system.gamma0 * pulse.delta)
-    if abs(denom) < CONFLUENT_THRESHOLD * system.gamma0:
-        out = -amp * tt * np.exp(-b * tt)
+    flat = tt.reshape(-1)
+    if d != 0:
+        out = amp * (np.exp(-a * flat) - np.exp(-b * flat)) / d
     else:
-        out = amp * (np.exp(-a * tt) - np.exp(-b * tt)) / denom
+        out = np.empty(flat.shape, dtype=complex)
+    near = abs(d) * flat < _PLAIN_MIN
+    tn = flat[near]
+    out[near] = -amp * tn * np.exp(-b * tn) * _exprel(-d * tn)
     if np.isscalar(t) or tt.ndim == 0:
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out.reshape(tt.shape)
+
+
+@functools.cache
+def _unit_rule(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order ``n`` on [0, 1], read-only
+    since every caller shares them."""
+    x, w = leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _panels(system: SystemParams, pulse: PulseParams):
+    """Starting panels of the grid-free integrals of the closed form over
+    [0, T], as (left edges, widths) in blocks of at most ``_PANEL_BLOCK``.
+
+    While both exponentials of psi are alive, up to 40/(a + delta/2),
+    the panels are uniform, 16 to a beat period 2 pi/|deltaL| and at
+    least 16; 40 geometric panels then reach T = 40 e-folds of
+    min(a, delta/2).  For delta/2 > a, T stops where e^{(delta/2 - a) t}
+    would overflow: the envelope |phi|^2 ~ e^{-delta t} has underflowed
+    there long before.
+    """
+    a = 0.5 * system.gamma0
+    beta = 0.5 * pulse.delta
+    t1 = _EFOLDS / (a + beta)
+    t2 = _EFOLDS / min(a, beta)
+    if beta > a:
+        t2 = min(t2, 700.0 / (beta - a))
+    beats = abs(pulse.deltaL) * t1 / (2.0 * math.pi)
+    n1 = max(_PANELS_PER_BEAT, math.ceil(_PANELS_PER_BEAT * beats))
+    h = t1 / n1
+    for k0 in range(0, n1, _PANEL_BLOCK):
+        lo = np.arange(k0, min(k0 + _PANEL_BLOCK, n1)) * h
+        yield lo, np.full(lo.size, h)
+    edges = np.geomspace(t1, t2, _TAIL_PANELS + 1)
+    yield edges[:-1], np.diff(edges)
+
+
+def _panel_quadrature(system: SystemParams, pulse: PulseParams, f) -> float:
+    """Integral over [0, T] of the vectorized ``f(t)`` on :func:`_panels`.
+
+    Each panel takes the Gauss-Legendre rule of ``_GL_NODES`` nodes and is
+    bisected until the rule of half the order agrees with it to
+    ``_PANEL_TOL`` of its width times the largest |f| on it.  Bisection
+    finds the near-zeros of psi (beat minima while |a - b| t << 1), where
+    the phase of psi turns within a small fraction of a beat.  The phase
+    (a - b) t itself carries a rounding error of eps |a - b| t, which
+    lowers the agreement asked of late panels accordingly.  At most
+    ``_MAX_BISECTIONS`` levels, and at each the ``_PANEL_BLOCK`` worst
+    panels of a block, are bisected, which bounds time and memory.
+    """
+    x, w = _unit_rule(_GL_NODES)
+    xc, wc = _unit_rule(_GL_NODES // 2)
+    rate = abs(complex(0.5 * (system.gamma0 - pulse.delta), pulse.deltaL))
+    noise = 64.0 * np.finfo(float).eps * rate
+    partials = []
+    for lo, width in _panels(system, pulse):
+        for depth in range(_MAX_BISECTIONS + 1):
+            fine = f(lo[:, None] + width[:, None] * x)
+            value = (fine @ w) * width
+            coarse = (f(lo[:, None] + width[:, None] * xc) @ wc) * width
+            tol = np.maximum(_PANEL_TOL, noise * (lo + width)) * width
+            excess = np.abs(value - coarse) - tol * np.abs(fine).max(axis=1)
+            done = excess <= 0.0
+            if depth == _MAX_BISECTIONS:
+                done[:] = True
+            elif (~done).sum() > _PANEL_BLOCK:
+                done[np.argsort(-excess, kind="stable")[_PANEL_BLOCK:]] = True
+            partials.append(float(value[done].sum()))
+            if done.all():
+                break
+            half = 0.5 * width[~done]
+            lo = np.concatenate([lo[~done], lo[~done] + half])
+            width = np.concatenate([half, half])
+    return math.fsum(partials)
+
+
+def peak_population(system: SystemParams, pulse: PulseParams) -> float:
+    """Largest |psi(t)|^2 of the closed form.
+
+    The best Gauss-Legendre node of the starting :func:`_panels` seeds a
+    bounded maximization over one panel width on either side of it (a
+    panel spans at most a sixteenth of a beat, so the population has one
+    maximum there).
+    """
+    x, _ = _unit_rule(_GL_NODES)
+    best = (-1.0, 0.0, 0.0)
+    for lo, width in _panels(system, pulse):
+        t = lo[:, None] + width[:, None] * x
+        pop = np.abs(closed_form_psi(system, pulse, t)) ** 2
+        p, k = np.unravel_index(int(np.argmax(pop)), pop.shape)
+        if pop[p, k] > best[0]:
+            best = (float(pop[p, k]), float(t[p, k]), float(width[p]))
+    value, t_best, width = best
+    res = minimize_scalar(
+        lambda s: -abs(closed_form_psi(system, pulse, s)) ** 2,
+        bounds=(max(t_best - width, 0.0), t_best + width),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(value, -float(res.fun))
 
 
 def closed_form_trajectory(

@@ -7,8 +7,12 @@ Definitions (units hbar = 1, energies in hbar gamma0):
     Q1    = integral d(|psi|^2)/dt omega_s dt   heat (non-unitary part)
 
 with omega_s = omega0 + delta_eff.  Every functional is linear in four
-trapezoid moments, which :func:`energy_moments` forms in one pass for the
-photon and for the coherent drive (``semiclassical``):
+moments.  On a sampled run :func:`energy_moments` forms them with the
+trapezoid rule in one pass, for the photon and for the coherent drive
+(``semiclassical``); for the closed-form photon
+:func:`closed_form_moments` forms them without a grid, three exactly and
+one by Gauss-Legendre panels, and :func:`photon_report` reads the rows
+on them:
 
     m = (integral p, integral Re u, integral Im u, integral occ r)
 
@@ -35,11 +39,11 @@ The photon rows follow from dp/dt = -gamma0 p - 2 g Re z, d<H_int>/dt =
 2 g Im[dz/dt] with dz/dt = -((gamma0+delta)/2 + i deltaL) z - g|phi|^2
 (z = phi psi*) and (dp/dt) delta_eff = -g gamma0 Im z - 2 g^2 r.  No row
 is a sum of other rows, so the first-law and split residuals compare
-independently written rows; the rule being linear, they sit at rounding
-level for any step size.  The ratio r is bounded by |phi|^2 / 2 and
-tends to 0 at psi -> 0; its guard enters every row through one moment,
-so it never perturbs the residuals, and its contribution to the values
-is below the cycle-tolerance tail level.
+independently written rows; every rule being linear, they sit at
+rounding level for any step size or node set.  The ratio r is bounded by
+|phi|^2 / 2 and tends to 0 at psi -> 0; its guard enters every row
+through one moment, so it never perturbs the residuals, and its
+contribution to the values is below the cycle-tolerance tail level.
 """
 
 from __future__ import annotations
@@ -49,14 +53,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory
+from .dynamics import AmplitudeTrajectory, _exprel, _panel_quadrature
 from .effective import DEFAULT_ETA
 from .model import PulseParams, SystemParams, TimeGrid
-from .pulse import envelope_at
+from .pulse import envelope_at, normalization
 
 __all__ = [
     "ThermoReport",
     "thermo_report",
+    "photon_report",
+    "closed_form_moments",
     "FULL_CYCLE_POP",
 ]
 
@@ -132,6 +138,44 @@ def energy_moments(
     return tuple(sums)
 
 
+def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
+    """The four moments m of the closed-form photon over [0, inf), the
+    vector :func:`energy_moments` forms on a grid.
+
+    With psi = amp (e^{-a t} - e^{-b t}) / (a - b) and phi = N e^{-b t}
+    (a = gamma0/2, b = delta/2 + i deltaL, amp = sqrt(gamma0 delta / 2),
+    N the envelope's normalization), the 1/(a - b) cancels from
+
+        integral |psi|^2    =  amp^2 (a + delta/2) / (a delta |a + b|^2)
+        integral phi psi*   = -N amp / (delta (a + b)),
+
+    so they hold for every a - b, a = b included.  Since psi / phi =
+    -(amp / N) t X with X = exprel(-(a - b) t), the ratio is
+    r = -|phi|^2 Re X Im X / |X|^2, which depends on the phase of X only
+    and is integrated on the panels of ``dynamics._panel_quadrature``.  It
+    is not guarded: the integral is that of the definition.
+    """
+    a = 0.5 * system.gamma0
+    beta = 0.5 * pulse.delta
+    deltaL = pulse.deltaL
+    amp = math.sqrt(a * pulse.delta)
+    n = normalization(system, pulse)
+    q = 1.0 / ((a + beta) ** 2 + deltaL * deltaL) / pulse.delta
+    d = complex(a - beta, -deltaL)
+
+    def ratio(t):
+        x = _exprel(-d * t)
+        unit = x / np.abs(x)
+        return -(n * n) * np.exp(-pulse.delta * t) * unit.real * unit.imag
+
+    return (
+        amp * amp * (a + beta) * q / a,
+        -n * amp * (a + beta) * q,
+        n * amp * deltaL * q,
+        _panel_quadrature(system, pulse, ratio),
+    )
+
+
 def row_value(row, moments) -> float:
     """A coefficient row on the moments, added exactly (``math.fsum``):
     rows such as W1 and Q1 cancel terms far larger than their value."""
@@ -159,28 +203,11 @@ def check_full_cycle(pop_end: float, allow_partial: bool) -> None:
         )
 
 
-def thermo_report(
-    traj: AmplitudeTrajectory,
-    allow_partial: bool = False,
-) -> ThermoReport:
-    """Full energy balance with decomposition residuals.
-
-    Parameters
-    ----------
-    traj : AmplitudeTrajectory
-    allow_partial : bool
-        Accept a grid whose end population exceeds ``FULL_CYCLE_POP``
-        (boundary terms are then part of the reported values).
-    """
-    gamma0 = traj.system.gamma0
-    omega0 = traj.system.omega0
-    g = traj.system.g
-    delta = traj.pulse.delta
-    deltaL = traj.pulse.deltaL
-
-    check_full_cycle(float(np.abs(traj.psi[-1]) ** 2), allow_partial)
-    m = energy_moments(traj.grid, traj.system, traj.pulse, traj.psi)
-    reactive, absorptive, emission = shared_rows(traj.system)
+def _ledger(system: SystemParams, pulse: PulseParams, m) -> ThermoReport:
+    """The photon's values and residuals, each a row on the moments ``m``."""
+    gamma0, omega0, g = system.gamma0, system.omega0, system.g
+    delta, deltaL = pulse.delta, pulse.deltaL
+    reactive, absorptive, emission = shared_rows(system)
     w1 = row_value((0.0, -g * deltaL, 0.5 * g * (gamma0 - delta), 2.0 * g * g), m)
     q1 = row_value((-omega0 * gamma0, -2.0 * g * omega0, -g * gamma0, -2.0 * g * g), m)
     du = row_value(
@@ -202,3 +229,29 @@ def thermo_report(
         residual_Q_split=q1 - (q1_abs + q1_em),
         residual_W_split=w1 - (w1_int + w1_reac),
     )
+
+
+def thermo_report(
+    traj: AmplitudeTrajectory,
+    allow_partial: bool = False,
+) -> ThermoReport:
+    """Full energy balance with decomposition residuals, by the trapezoid
+    rule on a sampled trajectory (the RK4 or the oracle amplitude; the
+    closed form needs no grid, see :func:`photon_report`).
+
+    Parameters
+    ----------
+    traj : AmplitudeTrajectory
+    allow_partial : bool
+        Accept a grid whose end population exceeds ``FULL_CYCLE_POP``
+        (boundary terms are then part of the reported values).
+    """
+    check_full_cycle(float(np.abs(traj.psi[-1]) ** 2), allow_partial)
+    m = energy_moments(traj.grid, traj.system, traj.pulse, traj.psi)
+    return _ledger(traj.system, traj.pulse, m)
+
+
+def photon_report(system: SystemParams, pulse: PulseParams) -> ThermoReport:
+    """Full energy balance of the closed-form photon over its whole cycle,
+    on :func:`closed_form_moments`: no grid, and no step to choose."""
+    return _ledger(system, pulse, closed_form_moments(system, pulse))

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from photon_work import analysis
 from photon_work.analysis import (
     REL_ERR_FLOOR,
     compare_equivalences,
     detuning_scan,
 )
-from photon_work.dynamics import full_cycle_grid
+from photon_work.dynamics import peak_population
 from photon_work.model import make_pulse, make_system
+from photon_work.thermo import photon_report
 
 
 @pytest.fixture(scope="module")
@@ -103,31 +103,23 @@ def test_detuning_scan_values_and_antisymmetry(sys1):
         assert rep.Q1_abs > 0.0 > rep.Q1_em
 
 
-def test_scan_shares_one_spacing_at_the_fastest_rate(sys1, monkeypatch):
-    # deltaL = 40 sets the rate: every point, the slow ones too, runs on
-    # 0.02 / 40 = 5e-4 below the 1e-3 cap.
-    spacings = []
-
-    def recording_grid(*args, **kwargs):
-        grid = full_cycle_grid(*args, **kwargs)
-        spacings.append(grid.spacing)
-        return grid
-
-    monkeypatch.setattr(analysis, "full_cycle_grid", recording_grid)
-    scan = detuning_scan(sys1, 0.5, [-40.0, -1.0, 1.0, 40.0], max_step=1e-3)
-    assert spacings == [5e-4] * 4
+def test_scan_antisymmetry_is_exact_far_from_resonance(sys1):
+    # Mirrored detunings integrate on the same nodes with conjugate
+    # amplitudes, so W1(-deltaL) is exactly -W1(deltaL), 40 included.
+    scan = detuning_scan(sys1, 0.5, [-40.0, -1.0, 1.0, 40.0])
     assert [d for d, _ in scan.antisymmetry] == [1.0, 40.0]
     assert [defect for _, defect in scan.antisymmetry] == [0.0, 0.0]
 
 
-def test_scan_is_deterministic_across_thread_counts(sys1, monkeypatch):
-    deltas = [-0.5, 0.2, 0.5]
+def test_scan_points_are_photon_reports(sys1):
+    scan = detuning_scan(sys1, 0.3, [-0.7, 2.0])
+    for d, rep in zip(scan.deltaL.tolist(), scan.reports):
+        assert rep == photon_report(sys1, make_pulse(0.3, 100.0 + d, sys1))
 
-    def run():
-        return detuning_scan(sys1, 1.0, deltas, max_step=2e-3, cycle_tol=1e-9)
 
-    monkeypatch.setenv("PHOTON_WORK_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("PHOTON_WORK_THREADS", "3")
-    threaded = run()
-    assert serial.reports == threaded.reports
+def test_equivalence_photon_side_is_grid_free(sys1):
+    # The drive's step and cycle tolerance leave the photon's side alone.
+    pulse = make_pulse(0.1, 100.2, sys1)
+    rep = compare_equivalences(sys1, pulse, max_step=2e-2, cycle_tol=1e-9)
+    assert rep.photon == photon_report(sys1, pulse)
+    assert rep.regime.max_pop_quantum == peak_population(sys1, pulse)

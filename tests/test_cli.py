@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import photon_work
-from photon_work.analysis import compare_equivalences, detuning_scan
+from photon_work.analysis import compare_equivalences
 from photon_work.cli import _BLOCK, RunConfig, _write_csv, main, parse_config
-from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
+from photon_work.dynamics import full_cycle_grid
 from photon_work.model import make_pulse, make_system
-from photon_work.thermo import thermo_report
+from photon_work.thermo import photon_report
 
 
 def test_empty_text_gives_defaults():
@@ -314,8 +314,9 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
     assert [float(field) for field in lines[1].split(",")] == expected
 
 
-def test_single_mode_default_step_is_the_library_default(workdir):
-    # deltaL = 30 puts 0.02 / rate = 6.7e-4 below the 1e-3 cap.
+def test_single_mode_default_step_is_the_library_default(workdir, capsys):
+    # deltaL = 30 puts 0.02 / rate = 6.7e-4 below the 1e-3 cap.  The
+    # trajectory runs on that grid; the summary is the grid-free report.
     cfg = _write(
         workdir, "mode=single\ndeltaL=30\ntraj_stride=1000\nout=sd\n"
     )
@@ -323,7 +324,8 @@ def test_single_mode_default_step_is_the_library_default(workdir):
     system = make_system()
     pulse = make_pulse(1.0, 130.0, system)
     grid = full_cycle_grid(system, pulse, cycle_tol=1e-12)
-    rep = thermo_report(closed_form_trajectory(system, pulse, grid))
+    assert f"trapezoid n={grid.n} spacing={grid.spacing:.6g}" in capsys.readouterr().out
+    rep = photon_report(system, pulse)
     expected = [
         rep.W1,
         rep.Q1,
@@ -340,32 +342,15 @@ def test_single_mode_default_step_is_the_library_default(workdir):
     assert [float(field) for field in lines[1].split(",")] == expected
 
 
-def test_detuning_mode_default_step_is_the_library_default(workdir):
-    # Without a step the sweep uses the library's own 5e-4 cap.
-    cfg = _write(
-        workdir,
-        "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4\n"
-        "cycle_tol=1e-10\nout=dd\n",
-    )
-    assert main([cfg]) == 0
-    scan = detuning_scan(make_system(), 0.5, [-0.4, 0.4], cycle_tol=1e-10)
-    expected = [
-        [d, rep.W1, rep.Q1, rep.Q1_abs, rep.Q1_em]
-        for d, rep in zip(scan.deltaL.tolist(), scan.reports)
-    ]
-    lines = (workdir / "dd_scan.csv").read_text().splitlines()
-    assert [[float(f) for f in line.split(",")] for line in lines[1:]] == expected
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
-def test_bad_thread_count_exits_1_naming_the_variable(
-    workdir, capsys, monkeypatch, value
-):
-    monkeypatch.setenv("PHOTON_WORK_THREADS", value)
-    cfg = _write(workdir, "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4\n")
-    assert main([cfg]) == 1
-    err = capsys.readouterr().err
-    assert f"PHOTON_WORK_THREADS must be a positive integer, got '{value}'" in err
+def test_detuning_mode_ignores_step_and_cycle_tol(workdir):
+    # The sweep is grid-free: both keys are accepted and change nothing.
+    base = "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4,3\n"
+    assert main([_write(workdir, base + "out=plain\n", "a.txt")]) == 0
+    keyed = base + "step=1e-3\ncycle_tol=1e-10\nout=keyed\n"
+    assert main([_write(workdir, keyed, "b.txt")]) == 0
+    plain = (workdir / "plain_scan.csv").read_bytes()
+    assert (workdir / "keyed_scan.csv").read_bytes() == plain
+    assert len(plain.splitlines()) == 4
 
 
 def test_oversized_grid_exits_1_with_a_message(workdir, capsys):

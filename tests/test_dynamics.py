@@ -5,16 +5,18 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from photon_work.dynamics import (
-    CONFLUENT_THRESHOLD,
+    _exprel,
     closed_form_psi,
     closed_form_trajectory,
     full_cycle_grid,
     integrate_psi,
+    peak_population,
 )
 from photon_work.model import make_pulse, make_system, uniform_grid
 
@@ -51,13 +53,65 @@ def test_negative_time_rejected(sys1):
 
 
 def test_confluent_branch_is_continuous(sys1):
-    """Values on either side of the branch switch agree: the confluent
-    limit takes over seamlessly as the denominator crosses the threshold."""
-    eps = CONFLUENT_THRESHOLD
+    """Values on either side of the old confluent switch at
+    |a - b| = 1e-8 agree: the divided difference has no branch there."""
+    eps = 1e-8
     ts = np.linspace(0.0, 20.0, 400)
     below = closed_form_psi(sys1, make_pulse(1.0 + 1.9 * eps, 100.0, sys1), ts)
     above = closed_form_psi(sys1, make_pulse(1.0 + 2.1 * eps, 100.0, sys1), ts)
     assert np.max(np.abs(below - above)) < 1e-6
+
+
+def _psi_mp(gamma0, delta, deltaL, t):
+    """The amplitude's defining expression at 40 digits (a != b)."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(gamma0) / 2
+        b = mpmath.mpc(mpmath.mpf(delta) / 2, deltaL)
+        amp = mpmath.sqrt(mpmath.mpf(gamma0) * delta / 2)
+        t = mpmath.mpf(t)
+        return complex(amp * (mpmath.exp(-a * t) - mpmath.exp(-b * t)) / (a - b))
+
+
+@pytest.mark.parametrize(
+    "gap,bound", [(1e-2, 1e-13), (1e-4, 2e-12), (1e-7, 1e-14), (1.01e-8, 1e-14), (0.99e-8, 1e-14)]
+)
+def test_closed_form_is_accurate_near_confluence(sys1, gap, bound):
+    # |a - b| = gap at deltaL = 0.  A switch to t e^{-b t} below 1e-8
+    # that dropped the (a - b) t term erred by 2e-7 just under it, and
+    # the plain difference just over it by 4e-9.  The plain difference is
+    # now kept only where |a - b| t >= 1e-4 and loses at most four digits.
+    pulse = make_pulse(1.0 - 2.0 * gap, 100.0, sys1)
+    ts = np.array([0.5, 2.0, 10.0, 40.0])
+    got = closed_form_psi(sys1, pulse, ts)
+    want = np.array([_psi_mp(1.0, pulse.delta, 0.0, t) for t in ts])
+    assert np.max(np.abs(got / want - 1.0)) < bound
+
+
+def test_exprel_components_are_accurate():
+    # Both components to a few ulps, the small imaginary part included,
+    # on both sides of the series radius; exprel(0) = 1.
+    zs = [0.0, 1e-9 - 1e-9j, 0.3 + 1e-12j, -0.49 + 0.01j, -0.51 + 0.01j, 2.0 - 1e-10j, -30 + 5j]
+    got = _exprel(np.array(zs))
+    for z, x in zip(zs, got):
+        with mpmath.workdps(40):
+            zz = mpmath.mpc(z)
+            want = mpmath.mpc(1) if z == 0 else mpmath.expm1(zz) / zz
+        assert abs(x.real / float(want.real) - 1.0) < 1e-15
+        assert abs(x.imag - float(want.imag)) <= 1e-15 * abs(float(want.imag))
+
+
+@pytest.mark.parametrize("delta,deltaL", [(1.0, 0.0), (0.3, 0.7), (0.01, 0.2), (4.0, -20.0)])
+def test_peak_population_is_the_continuous_maximum(sys1, delta, deltaL):
+    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    peak = peak_population(sys1, pulse)
+    ts = np.linspace(0.0, 80.0 / min(1.0, delta), 400001)
+    sampled = np.abs(closed_form_psi(sys1, pulse, ts)) ** 2
+    k = int(np.argmax(sampled))
+    # No point within a sample of the best one lies higher.
+    fine = np.linspace(ts[max(k - 1, 0)], ts[k + 1], 2001)
+    assert np.max(np.abs(closed_form_psi(sys1, pulse, fine)) ** 2) <= peak * (1.0 + 1e-14)
+    if delta == 1.0 and deltaL == 0.0:
+        assert peak == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
 
 @given(
