@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +138,12 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
     if d != 0:
         out = amp * (np.exp(-a * flat) - np.exp(-b * flat)) / d
     else:
-        out = np.empty(flat.shape, dtype=complex)
-    near = abs(d) * flat < _PLAIN_MIN
-    tn = flat[near]
-    out[near] = -amp * tn * np.exp(-b * tn) * _exprel(-d * tn)
+        out = np.zeros(flat.shape, dtype=complex)
+    # Both branches give 0 at t = 0, so a grid from 0 seldom needs the series.
+    near = (abs(d) * flat < _PLAIN_MIN) & (flat > 0.0)
+    if near.any():
+        tn = flat[near]
+        out[near] = -amp * tn * np.exp(-b * tn) * _exprel(-d * tn)
     if np.isscalar(t) or tt.ndim == 0:
         return complex(out[0])
     return out.reshape(tt.shape)
@@ -188,37 +191,55 @@ def _panel_quadrature(system: SystemParams, pulse: PulseParams, f) -> float:
 
     Each panel takes the Gauss-Legendre rule of ``_GL_NODES`` nodes and is
     bisected until the rule of half the order agrees with it to
-    ``_PANEL_TOL`` of its width times the largest |f| on it.  Bisection
-    finds the near-zeros of psi (beat minima while |a - b| t << 1), where
-    the phase of psi turns within a small fraction of a beat.  The phase
-    (a - b) t itself carries a rounding error of eps |a - b| t, which
-    lowers the agreement asked of late panels accordingly.  At most
-    ``_MAX_BISECTIONS`` levels, and at each the ``_PANEL_BLOCK`` worst
-    panels of a block, are bisected, which bounds time and memory.
+    ``_PANEL_TOL`` of its width times the largest |f| on it, or to 64 eps t
+    times the variation of f over its nodes: each t (and the phase
+    (a - b) t computed from it) is rounded by about eps t, which moves the
+    integral by that much.  Bisection finds the near-zeros of psi (beat
+    minima while |a - b| t << 1), where the phase of psi turns within a
+    small fraction of a beat; there the rounding floor, not the relative
+    agreement, ends it.  Failing panels are bisected depth first,
+    ``_PANEL_BLOCK`` at a time, which bounds memory; a starting block stops
+    bisecting once it has evaluated ``2 * _MAX_BISECTIONS * _PANEL_BLOCK``
+    panels, which bounds time.  Panels still failing after ``_MAX_BISECTIONS`` levels or
+    past that budget are kept as they are, and a ``RuntimeWarning`` gives
+    their number.
     """
     x, w = _unit_rule(_GL_NODES)
     xc, wc = _unit_rule(_GL_NODES // 2)
-    rate = abs(complex(0.5 * (system.gamma0 - pulse.delta), pulse.deltaL))
-    noise = 64.0 * np.finfo(float).eps * rate
+    wobble = 64.0 * np.finfo(float).eps
     partials = []
-    for lo, width in _panels(system, pulse):
-        for depth in range(_MAX_BISECTIONS + 1):
+    unconverged = 0
+    for lo0, width0 in _panels(system, pulse):
+        stack = [(lo0, width0, 0)]
+        budget = 2 * _MAX_BISECTIONS * _PANEL_BLOCK
+        while stack:
+            lo, width, depth = stack.pop()
+            budget -= lo.size
             fine = f(lo[:, None] + width[:, None] * x)
             value = (fine @ w) * width
             coarse = (f(lo[:, None] + width[:, None] * xc) @ wc) * width
-            tol = np.maximum(_PANEL_TOL, noise * (lo + width)) * width
-            excess = np.abs(value - coarse) - tol * np.abs(fine).max(axis=1)
-            done = excess <= 0.0
-            if depth == _MAX_BISECTIONS:
+            tol = np.maximum(
+                _PANEL_TOL * width * np.abs(fine).max(axis=1),
+                wobble * (lo + width) * np.abs(np.diff(fine, axis=1)).sum(axis=1),
+            )
+            done = np.abs(value - coarse) <= tol
+            if depth == _MAX_BISECTIONS or budget < 0:
+                unconverged += int((~done).sum())
                 done[:] = True
-            elif (~done).sum() > _PANEL_BLOCK:
-                done[np.argsort(-excess, kind="stable")[_PANEL_BLOCK:]] = True
             partials.append(float(value[done].sum()))
-            if done.all():
-                break
             half = 0.5 * width[~done]
             lo = np.concatenate([lo[~done], lo[~done] + half])
             width = np.concatenate([half, half])
+            for k0 in range(0, lo.size, _PANEL_BLOCK):
+                stack.append((lo[k0 : k0 + _PANEL_BLOCK], width[k0 : k0 + _PANEL_BLOCK], depth + 1))
+    if unconverged:
+        warnings.warn(
+            f"{unconverged} Gauss-Legendre panels were kept unconverged at "
+            f"delta={pulse.delta!r}, deltaL={pulse.deltaL!r}: the integral "
+            f"over them may be inexact",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return math.fsum(partials)
 
 

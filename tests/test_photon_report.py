@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -152,16 +153,40 @@ def test_near_confluent_ledger_matches_fifty_digits(sys1, eps):
 
 
 @pytest.mark.parametrize(
-    "delta,w1", [(0.99, 0.000246026224010806), (0.999, 0.000024825612798579351)]
+    "delta,deltaL,w1,rtol",
+    [
+        (0.99, 20.0, 0.000246026224010806, 1e-11),
+        (0.999, 20.0, 0.000024825612798579351, 1e-11),
+        (0.999, 40.0, 0.000012468766222083032364, 5e-11),
+    ],
 )
-def test_near_matched_bandwidth_work_matches_thirty_digits(sys1, delta, w1):
-    # deltaL = 20.  While |a - b| t << 1, psi nearly vanishes at every beat
-    # minimum and its phase turns within a small fraction of a beat there.
-    # Reference: mpmath.quad at 30 digits of the ratio moment, split at
-    # every beat minimum 2 pi k / deltaL.  The scan's former 5e-4 grid
-    # erred by 15 % and 430 %; W1 is about 1e-3 of the terms its row adds.
-    rep = photon_report(sys1, make_pulse(delta, 120.0, sys1))
-    assert abs(rep.W1 - w1) <= 1e-11 * w1
+def test_near_matched_bandwidth_work_matches_thirty_digits(sys1, delta, deltaL, w1, rtol):
+    # While |a - b| t << 1, psi nearly vanishes at every beat minimum and
+    # its phase turns within a small fraction of a beat there.  Reference:
+    # mpmath.quad at 30 digits of the ratio moment, split at every beat
+    # minimum 2 pi k / deltaL.  The scan's former 5e-4 grid erred by 15 %
+    # and 430 % at deltaL = 20.  W1 is about 1e-3 of the terms its row adds
+    # at deltaL = 20 and 1/2000 of them (0.025) at deltaL = 40, where 5e-11
+    # of W1 is 2.5e-14 of the terms.
+    rep = photon_report(sys1, make_pulse(delta, 100.0 + deltaL, sys1))
+    assert abs(rep.W1 - w1) <= rtol * w1
+
+
+@pytest.mark.parametrize("delta", [0.999, 1.001])
+@pytest.mark.parametrize("deltaL", [-40.0, 3.0, 20.0, 40.0])
+def test_near_matched_panels_converge_before_the_depth_cap(sys1, delta, deltaL):
+    # At the beat minima |f| swings within a width where the rule's two
+    # orders disagree by the rounding of t alone; an agreement asked only
+    # relative to |f| left thousands of panels at the cap here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        photon_report(sys1, make_pulse(delta, 100.0 + deltaL, sys1))
+
+
+def test_unconverged_panels_raise_a_warning(sys1, monkeypatch):
+    monkeypatch.setattr(dynamics, "_MAX_BISECTIONS", 2)
+    with pytest.warns(RuntimeWarning, match=r"panels were kept unconverged at delta=0.999"):
+        photon_report(sys1, make_pulse(0.999, 140.0, sys1))
 
 
 @pytest.mark.parametrize("deltaL", [-20.0, -3.0, -0.2, 0.2, 3.0, 20.0])

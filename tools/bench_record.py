@@ -2,10 +2,10 @@
 
 Run from the repository root:
 
-    python3 tools/bench_record.py LABEL [--tree DIR] [--seconds S]
+    python3 tools/bench_record.py LABEL [--tree DIR]
 
 Each of the four workloads in ``bench/`` runs once per seed 0, 1 and 2, as
-``python3 bench/run.py --workload W --seed S --seconds S --trace 0`` in
+``python3 bench/run.py --workload W --seed S --seconds 15 --trace 0`` in
 the tree ``DIR`` (default: this repository).  ``BENCH_<LABEL>.json`` at
 the root of this repository then holds, per workload, the median and the
 interquartile range over the seeds of ``wall_s``, ``cpu_s``,
@@ -31,14 +31,15 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("single_trajectory", "bandwidth_equivalence", "detuning_sweep", "oracle_continuum")
 SEEDS = (0, 1, 2)
+SECONDS = 15.0
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 
 
-def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_workload(tree: Path, workload: str, seed: int) -> dict:
     """The JSON object ``bench/run.py`` prints as its last stdout line."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree,
         capture_output=True,
         text=True,
@@ -69,14 +70,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=ROOT, help="source tree to measure")
-    parser.add_argument("--seconds", type=float, default=15.0, help="measured call time per run")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     workloads = {}
     for workload in WORKLOADS:
         results = []
         for seed in SEEDS:
-            results.append(run_workload(tree, workload, seed, args.seconds))
+            results.append(run_workload(tree, workload, seed))
             print(f"{workload} seed {seed}: {results[-1]['metrics']['wall_s']['value']:.4g} s",
                   file=sys.stderr)
         workloads[workload] = summarize(results)
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "revision": revision,
         "seeds": list(SEEDS),
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "nproc": os.cpu_count(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
