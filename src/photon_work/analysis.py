@@ -152,7 +152,7 @@ def compare_equivalences(
 def detuning_scan(system: SystemParams, delta: float, deltaL_list) -> DetuningScan:
     """Grid-free thermo sweep over laser detunings at fixed bandwidth: one
     :func:`photon_report` per detuning, in list order.  Mirrored
-    detunings integrate on mirrored nodes, so the antisymmetry defect is
+    detunings take conjugate closed forms, so the antisymmetry defect is
     a pure physics statement.
     """
     values = [float(d) for d in deltaL_list]

@@ -8,20 +8,15 @@ where ``phi(0, t)`` is the pulse envelope at the emitter.  This module
 provides the closed-form solution and a fixed-step fourth-order (RK4)
 integration of the same equation, so each can serve as an oracle for the
 other.  Both store amplitudes in the frame rotating at ``omega0``; the
-lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.  Grid-free
-integrals of the closed form (``thermo.closed_form_moments``, the peak
-population) share one Gauss-Legendre panel layout, :func:`_panels`.
+lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq, minimize_scalar
 
 from .model import (
@@ -59,16 +54,11 @@ _PLAIN_MIN = 1e-4
 _SERIES_RADIUS = 0.5
 _EXPREL_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(16))
 
-# Gauss-Legendre panels: nodes per panel, panels per beat period, panels
-# of the tail, horizon in e-folds, panels evaluated (and bisected) per
-# block, and the bisection's agreement and depth (_panel_quadrature).
-_GL_NODES = 20
-_PANELS_PER_BEAT = 16
-_TAIL_PANELS = 40
+# peak_population's samples per beat period (and in all, at least), its
+# horizon in e-folds and its chunk.
+_SAMPLES_PER_BEAT = 320
 _EFOLDS = 40.0
-_PANEL_BLOCK = 4096
-_PANEL_TOL = 1e-13
-_MAX_BISECTIONS = 40
+_PEAK_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,124 +139,40 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
     return out.reshape(tt.shape)
 
 
-@functools.cache
-def _unit_rule(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights of order ``n`` on [0, 1], read-only
-    since every caller shares them."""
-    x, w = leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _panels(system: SystemParams, pulse: PulseParams):
-    """Starting panels of the grid-free integrals of the closed form over
-    [0, T], as (left edges, widths) in blocks of at most ``_PANEL_BLOCK``.
-
-    While both exponentials of psi are alive, up to 40/(a + delta/2),
-    the panels are uniform, 16 to a beat period 2 pi/|deltaL| and at
-    least 16; 40 geometric panels then reach T = 40 e-folds of
-    min(a, delta/2).  For delta/2 > a, T stops where e^{(delta/2 - a) t}
-    would overflow: the envelope |phi|^2 ~ e^{-delta t} has underflowed
-    there long before.
-    """
-    a = 0.5 * system.gamma0
-    beta = 0.5 * pulse.delta
-    t1 = _EFOLDS / (a + beta)
-    t2 = _EFOLDS / min(a, beta)
-    if beta > a:
-        t2 = min(t2, 700.0 / (beta - a))
-    beats = abs(pulse.deltaL) * t1 / (2.0 * math.pi)
-    n1 = max(_PANELS_PER_BEAT, math.ceil(_PANELS_PER_BEAT * beats))
-    h = t1 / n1
-    for k0 in range(0, n1, _PANEL_BLOCK):
-        lo = np.arange(k0, min(k0 + _PANEL_BLOCK, n1)) * h
-        yield lo, np.full(lo.size, h)
-    edges = np.geomspace(t1, t2, _TAIL_PANELS + 1)
-    yield edges[:-1], np.diff(edges)
-
-
-def _panel_quadrature(system: SystemParams, pulse: PulseParams, f) -> float:
-    """Integral over [0, T] of the vectorized ``f(t)`` on :func:`_panels`.
-
-    Each panel takes the Gauss-Legendre rule of ``_GL_NODES`` nodes and is
-    bisected until the rule of half the order agrees with it to
-    ``_PANEL_TOL`` of its width times the largest |f| on it, or to 64 eps t
-    times the variation of f over its nodes: each t (and the phase
-    (a - b) t computed from it) is rounded by about eps t, which moves the
-    integral by that much.  Bisection finds the near-zeros of psi (beat
-    minima while |a - b| t << 1), where the phase of psi turns within a
-    small fraction of a beat; there the rounding floor, not the relative
-    agreement, ends it.  Failing panels are bisected depth first,
-    ``_PANEL_BLOCK`` at a time, which bounds memory; a starting block stops
-    bisecting once it has evaluated ``2 * _MAX_BISECTIONS * _PANEL_BLOCK``
-    panels, which bounds time.  Panels still failing after ``_MAX_BISECTIONS`` levels or
-    past that budget are kept as they are, and a ``RuntimeWarning`` gives
-    their number.
-    """
-    x, w = _unit_rule(_GL_NODES)
-    xc, wc = _unit_rule(_GL_NODES // 2)
-    wobble = 64.0 * np.finfo(float).eps
-    partials = []
-    unconverged = 0
-    for lo0, width0 in _panels(system, pulse):
-        stack = [(lo0, width0, 0)]
-        budget = 2 * _MAX_BISECTIONS * _PANEL_BLOCK
-        while stack:
-            lo, width, depth = stack.pop()
-            budget -= lo.size
-            fine = f(lo[:, None] + width[:, None] * x)
-            value = (fine @ w) * width
-            coarse = (f(lo[:, None] + width[:, None] * xc) @ wc) * width
-            tol = np.maximum(
-                _PANEL_TOL * width * np.abs(fine).max(axis=1),
-                wobble * (lo + width) * np.abs(np.diff(fine, axis=1)).sum(axis=1),
-            )
-            done = np.abs(value - coarse) <= tol
-            if depth == _MAX_BISECTIONS or budget < 0:
-                unconverged += int((~done).sum())
-                done[:] = True
-            partials.append(float(value[done].sum()))
-            half = 0.5 * width[~done]
-            lo = np.concatenate([lo[~done], lo[~done] + half])
-            width = np.concatenate([half, half])
-            for k0 in range(0, lo.size, _PANEL_BLOCK):
-                stack.append((lo[k0 : k0 + _PANEL_BLOCK], width[k0 : k0 + _PANEL_BLOCK], depth + 1))
-    if unconverged:
-        warnings.warn(
-            f"{unconverged} Gauss-Legendre panels were kept unconverged at "
-            f"delta={pulse.delta!r}, deltaL={pulse.deltaL!r}: the integral "
-            f"over them may be inexact",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return math.fsum(partials)
-
-
 def peak_population(system: SystemParams, pulse: PulseParams) -> float:
     """Largest |psi(t)|^2 of the closed form.
 
-    The best Gauss-Legendre node of the starting :func:`_panels` seeds a
-    bounded maximization over one panel width on either side of it (a
-    panel spans at most a sixteenth of a beat, so the population has one
-    maximum there).
+    Uniform samples of [0, 40 / (a + delta/2)], 320 to a beat period
+    2 pi / |deltaL| and at least 320, are taken chunk by chunk until the
+    decreasing bound (amp (e^{-a t} + e^{-delta t/2}) / |a - b|)^2 of
+    :func:`_population_bound` falls below the best sample.  The best one
+    seeds a bounded maximization between its neighbours, which holds a
+    maximum since neither lies higher.
     """
-    x, _ = _unit_rule(_GL_NODES)
-    best = (-1.0, 0.0, 0.0)
-    for lo, width in _panels(system, pulse):
-        t = lo[:, None] + width[:, None] * x
+    a = 0.5 * system.gamma0
+    beta = 0.5 * pulse.delta
+    amp = math.sqrt(a * pulse.delta)
+    denom = abs(complex(a - beta, -pulse.deltaL))
+    t1 = _EFOLDS / (a + beta)
+    beats = abs(pulse.deltaL) * t1 / (2.0 * math.pi)
+    n = max(_SAMPLES_PER_BEAT, math.ceil(_SAMPLES_PER_BEAT * beats))
+    h = t1 / n
+    best, t_best = -1.0, 0.0
+    for k0 in range(0, n + 1, _PEAK_CHUNK):
+        t = np.arange(k0, min(k0 + _PEAK_CHUNK, n + 1)) * h
         pop = np.abs(closed_form_psi(system, pulse, t)) ** 2
-        p, k = np.unravel_index(int(np.argmax(pop)), pop.shape)
-        if pop[p, k] > best[0]:
-            best = (float(pop[p, k]), float(t[p, k]), float(width[p]))
-    value, t_best, width = best
+        k = int(np.argmax(pop))
+        if pop[k] > best:
+            best, t_best = float(pop[k]), float(t[k])
+        if amp * (math.exp(-a * t[-1]) + math.exp(-beta * t[-1])) < denom * math.sqrt(best):
+            break
     res = minimize_scalar(
         lambda s: -abs(closed_form_psi(system, pulse, s)) ** 2,
-        bounds=(max(t_best - width, 0.0), t_best + width),
+        bounds=(max(t_best - h, 0.0), t_best + h),
         method="bounded",
         options={"xatol": 1e-10},
     )
-    return max(value, -float(res.fun))
+    return max(best, -float(res.fun))
 
 
 def closed_form_trajectory(

@@ -91,7 +91,7 @@ def test_detuning_scan_values_and_antisymmetry(sys1):
     w = {d: rep.W1 for d, rep in zip(scan.deltaL.tolist(), scan.reports)}
     assert w[0.2] == pytest.approx(0.0077567182726277634, rel=1e-4)
     assert w[1.0] == pytest.approx(0.019536285176090691, rel=1e-4)
-    # Mirrored detunings run on identical grids, so the antisymmetry
+    # Mirrored detunings take conjugate closed forms, so the antisymmetry
     # defect is a pure physics statement and sits at rounding level.
     assert [d for d, _ in scan.antisymmetry] == [0.2, 0.5, 1.0]
     for _, defect in scan.antisymmetry:
@@ -104,8 +104,8 @@ def test_detuning_scan_values_and_antisymmetry(sys1):
 
 
 def test_scan_antisymmetry_is_exact_far_from_resonance(sys1):
-    # Mirrored detunings integrate on the same nodes with conjugate
-    # amplitudes, so W1(-deltaL) is exactly -W1(deltaL), 40 included.
+    # Mirrored detunings take conjugate closed forms, so W1(-deltaL) is
+    # exactly -W1(deltaL), 40 included.
     scan = detuning_scan(sys1, 0.5, [-40.0, -1.0, 1.0, 40.0])
     assert [d for d, _ in scan.antisymmetry] == [1.0, 40.0]
     assert [defect for _, defect in scan.antisymmetry] == [0.0, 0.0]

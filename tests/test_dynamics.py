@@ -100,8 +100,11 @@ def test_exprel_components_are_accurate():
         assert abs(x.imag - float(want.imag)) <= 1e-15 * abs(float(want.imag))
 
 
-@pytest.mark.parametrize("delta,deltaL", [(1.0, 0.0), (0.3, 0.7), (0.01, 0.2), (4.0, -20.0)])
+@pytest.mark.parametrize(
+    "delta,deltaL", [(1.0, 0.0), (0.3, 0.7), (0.01, 0.2), (4.0, -20.0), (0.03, 100.0)]
+)
 def test_peak_population_is_the_continuous_maximum(sys1, delta, deltaL):
+    # At deltaL = 100 the sampling stops after the first of its 97 chunks.
     pulse = make_pulse(delta, 100.0 + deltaL, sys1)
     peak = peak_population(sys1, pulse)
     ts = np.linspace(0.0, 80.0 / min(1.0, delta), 400001)

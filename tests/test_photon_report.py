@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import mpmath
 import pytest
 
-from photon_work import dynamics
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
 from photon_work.model import make_pulse, make_system
 from photon_work.pulse import normalization
@@ -66,18 +64,6 @@ def test_sweep_residuals_sit_at_rounding_level(sweep_reports):
             assert abs(res) <= 1e-12
 
 
-def test_ratio_moment_is_converged_in_the_node_count(sys1, sweep_reports, monkeypatch):
-    # The same panels at 40 nodes, and 16 panels per beat out to deltaL = 40.
-    pulses = [make_pulse(SWEEP_DELTA, 100.0 + row[0], sys1) for row in SWEEP]
-    pulses.append(make_pulse(0.5, 140.0, sys1))
-    reports = sweep_reports + [photon_report(sys1, pulses[-1])]
-    ratio20 = [closed_form_moments(sys1, p)[3] for p in pulses]
-    monkeypatch.setattr(dynamics, "_GL_NODES", 40)
-    ratio40 = [closed_form_moments(sys1, p)[3] for p in pulses]
-    for r20, r40, rep in zip(ratio20, ratio40, reports):
-        assert abs(r20 - r40) <= 1e-13 * abs(rep.W1)
-
-
 def _mp_ledger(delta: float, deltaL: float) -> tuple:
     """Moments and values at 50 digits (gamma0 = 1, omega0 = 100,
     rho0 = 1/2pi, so g = sqrt(1/2) and N = sqrt(delta)).
@@ -132,15 +118,21 @@ def _mp_ledger(delta: float, deltaL: float) -> tuple:
         return tuple(float(x) for x in m), values
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-9, 0.0])
-def test_near_confluent_ledger_matches_fifty_digits(sys1, eps):
-    # a - b = eps (1 - i): delta = gamma0 - 2 eps and deltaL = eps.  The
+@pytest.mark.parametrize(
+    "eps,side",
+    [pytest.param(e, -1, id=str(e)) for e in (1e-2, 1e-4, 1e-6, 1e-9, 0.0)]
+    + [pytest.param(e, 1, id=f"{e}-above") for e in (1e-2, 1e-4, 1e-6, 1e-9)],
+)
+def test_near_confluent_ledger_matches_fifty_digits(sys1, eps, side):
+    # delta = gamma0 + 2 side eps and deltaL = eps: a - b = -eps (side + i),
+    # so delta above gamma0 (side = 1) takes the other half-plane's form of
+    # the ratio moment (thermo.closed_form_moments).  The
     # undivided forms in double precision put W1 off by 2e-9, 1.6e-4 and
     # 11 (relative) at eps = 1e-2, 1e-4 and 1e-6.  W1 itself is about
     # eps^2 / 6 here, a sum of terms of order eps, so its relative error
     # grows as the terms cancel; each value is held to the rounding of
     # the terms its row adds.
-    pulse = make_pulse(1.0 - 2.0 * eps, 100.0 + eps, sys1)
+    pulse = make_pulse(1.0 + 2.0 * side * eps, 100.0 + eps, sys1)
     moments, values = _mp_ledger(pulse.delta, pulse.deltaL)
     for got, want in zip(closed_form_moments(sys1, pulse), moments):
         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
@@ -158,6 +150,8 @@ def test_near_confluent_ledger_matches_fifty_digits(sys1, eps):
         (0.99, 20.0, 0.000246026224010806, 1e-11),
         (0.999, 20.0, 0.000024825612798579351, 1e-11),
         (0.999, 40.0, 0.000012468766222083032364, 5e-11),
+        (1.001, 20.0, -0.000024850165253156290967134, 1e-11),
+        (1.001, 40.0, -0.000012481209976859026882276, 1e-11),
     ],
 )
 def test_near_matched_bandwidth_work_matches_thirty_digits(sys1, delta, deltaL, w1, rtol):
@@ -167,26 +161,20 @@ def test_near_matched_bandwidth_work_matches_thirty_digits(sys1, delta, deltaL, 
     # minimum 2 pi k / deltaL.  The scan's former 5e-4 grid erred by 15 %
     # and 430 % at deltaL = 20.  W1 is about 1e-3 of the terms its row adds
     # at deltaL = 20 and 1/2000 of them (0.025) at deltaL = 40, where 5e-11
-    # of W1 is 2.5e-14 of the terms.
+    # of W1 is 2.5e-14 of the terms.  At delta = 1.001 > gamma0 the ratio
+    # moment takes its other half-plane's form, and W1 changes sign.
     rep = photon_report(sys1, make_pulse(delta, 100.0 + deltaL, sys1))
-    assert abs(rep.W1 - w1) <= rtol * w1
+    assert abs(rep.W1 - w1) <= rtol * abs(w1)
 
 
-@pytest.mark.parametrize("delta", [0.999, 1.001])
-@pytest.mark.parametrize("deltaL", [-40.0, 3.0, 20.0, 40.0])
-def test_near_matched_panels_converge_before_the_depth_cap(sys1, delta, deltaL):
-    # At the beat minima |f| swings within a width where the rule's two
-    # orders disagree by the rounding of t alone; an agreement asked only
-    # relative to |f| left thousands of panels at the cap here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        photon_report(sys1, make_pulse(delta, 100.0 + deltaL, sys1))
-
-
-def test_unconverged_panels_raise_a_warning(sys1, monkeypatch):
-    monkeypatch.setattr(dynamics, "_MAX_BISECTIONS", 2)
-    with pytest.warns(RuntimeWarning, match=r"panels were kept unconverged at delta=0.999"):
-        photon_report(sys1, make_pulse(0.999, 140.0, sys1))
+@pytest.mark.parametrize("deltaL", [-1000.0, 1000.0])
+def test_ratio_moment_far_from_resonance_matches_twenty_digits(sys1, deltaL):
+    # Reference: mpmath.quad at 20 digits, split at every beat minimum
+    # 2 pi k / |deltaL|; the digamma form at 50 digits agrees with it to
+    # 1.7e-15.  A quadrature must resolve thousands of beats here.
+    ratio = closed_form_moments(sys1, make_pulse(0.5, 100.0 + deltaL, sys1))[3]
+    want = -math.copysign(3.7499995194793681e-4, deltaL)
+    assert abs(ratio - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("deltaL", [-20.0, -3.0, -0.2, 0.2, 3.0, 20.0])
