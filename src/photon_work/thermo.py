@@ -224,7 +224,7 @@ def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
         amp * amp * (a + beta) * q / a,
         -n * amp * (a + beta) * q,
         n * amp * deltaL * q,
-        -0.5 * n * n * phase.imag,
+        -0.5 * n * n * float(phase.imag),
     )
 
 
