@@ -386,7 +386,7 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
             "psi_abs": psi_abs[rows],
             "psi_closed_abs": closed_abs[rows],
             "abs_err": abs_err[rows],
-            "norm_drift": np.full(grid.n, otraj.max_drift())[rows],
+            "norm_drift": np.full(grid.n, otraj.drift)[rows],
         },
     )
     max_abs_err = float(abs_err.max())
@@ -396,7 +396,7 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
     )
     print(
         f"max_abs_err = {max_abs_err:.6e}  "
-        f"max_norm_drift = {otraj.max_drift():.6e}  "
+        f"max_norm_drift = {otraj.drift:.6e}  "
         f"window_ok = {int(state.window_ok)}  "
         f"recurrence_ok = {int(otraj.recurrence_ok)}"
     )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .model import TimeGrid
 from .pulse import envelope_at
 
 __all__ = [
@@ -45,7 +44,6 @@ class EffectiveTrajectory:
 
     Attributes
     ----------
-    grid : TimeGrid
     delta_eff : ndarray
         Dynamic frequency shift ``delta_eff(t_k)``.
     gamma_t : ndarray
@@ -59,7 +57,6 @@ class EffectiveTrajectory:
         guard of the ratio term in ``thermo.energy_moments``.
     """
 
-    grid: TimeGrid
     delta_eff: np.ndarray
     gamma_t: np.ndarray
     h_int: np.ndarray
@@ -79,7 +76,6 @@ def effective_trajectory(traj: AmplitudeTrajectory) -> EffectiveTrajectory:
         gamma_t = np.where(valid, traj.system.gamma0 + 2.0 * g * z.real / pop, np.nan)
     h_int = 2.0 * g * z.imag
     return EffectiveTrajectory(
-        grid=traj.grid,
         delta_eff=delta_eff,
         gamma_t=gamma_t,
         h_int=h_int,

@@ -12,9 +12,9 @@ only the even channel couples to the emitter, with per-mode coupling
 gbar = sqrt(gamma0 d_omega / 2 pi) (discrete golden rule equal to
 gamma0), while the odd channel is exactly dark.  An incoming
 one-directional photon splits equally: half its norm drives the emitter,
-half rides along freely.  Both channels are carried in the state
-(``phis[0]`` even, ``phis[1]`` odd); the dark channel evolves by exact
-free phases.
+half rides along freely and never meets it.  Only the coupled sector,
+the emitter and the even channel, is carried; it holds half of the
+photon's norm.
 
 After the gauge psi -> -i psi the coupled sector is a real symmetric
 arrowhead matrix: the mode detunings Delta_k on the diagonal, -gbar on
@@ -28,8 +28,8 @@ psi(t) is summed at any sample time, exact in time for any step.
 
 Validity is tagged, not assumed: a window flag (spectral capture), a
 recurrence flag (T < 2 pi / d_omega, the revival time of a discrete
-comb), and a hard error when the expansion loses norm or fails to
-rebuild the initial state.
+comb), and a hard error when the expansion fails to conserve the
+sector's norm or to rebuild its initial state.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ __all__ = [
 # Spectral capture below which the window is flagged too narrow.
 MIN_CAPTURED_MASS = 0.999
 # Bound on the expansion's norm defect and on its rebuild of the initial
-# state; both sit at 4e-15 to 8e-15 on the 4001- and 8001-mode combs.
+# state; the larger, the rebuild, sits at 4e-15 to 8e-15 on the 4001- and
+# 8001-mode combs.
 DEFAULT_DRIFT_TOL = 1e-9
 
 # Size of each eigenvector or phase table block, in bytes.
@@ -88,40 +89,32 @@ class ModeGrid:
 
 @dataclass(frozen=True, eq=False)
 class GlobalState:
-    """One-excitation state: TLS amplitude and both mode channels.
+    """One-excitation state of the coupled sector.
 
-    ``phis[0]`` is the even (coupled) channel, ``phis[1]`` the odd (dark)
-    channel, both in the rotating frame at the window center.
-    ``captured_mass`` and ``window_ok`` record how much of the photon
-    spectrum the window holds.
+    ``psi`` is the TLS amplitude and ``phi`` the even channel, in the
+    rotating frame at the window center.  ``captured_mass`` and
+    ``window_ok`` record how much of the photon spectrum the window holds.
     """
 
     psi: complex
-    phis: np.ndarray
+    phi: np.ndarray
     captured_mass: float = 1.0
     window_ok: bool = True
-
-    def norm(self) -> float:
-        return abs(self.psi) ** 2 + float(np.sum(np.abs(self.phis) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
 class OracleTrajectory:
-    """Recorded TLS amplitude and total norm, plus the final state.
+    """Recorded TLS amplitude and the drift the expansion was gated on.
 
-    The expansion is unitary, so ``norm`` is one conserved value, the
-    same at every sample.
+    ``drift`` is max(norm defect, rebuild residual) of the expansion, the
+    value :func:`propagate` compares against its ``drift_tol``.
     """
 
     grid: TimeGrid
     mode_grid: ModeGrid
     psi: np.ndarray
-    norm: float
-    final_state: GlobalState
+    drift: float
     recurrence_ok: bool
-
-    def max_drift(self) -> float:
-        return abs(1.0 - self.norm)
 
 
 def make_mode_grid(
@@ -159,8 +152,9 @@ def init_single_photon(
     """Sample the pulse spectrum on the comb and renormalize to one photon.
 
     The photon arrives in one propagation direction, so its amplitude
-    splits equally between the even and odd channels; the total norm is
-    exactly 1 after renormalization.  ``captured_mass`` is the fraction
+    splits equally between the even and odd channels.  Only the even,
+    coupled channel is returned: it holds half of the photon's norm, the
+    dark odd half is not carried.  ``captured_mass`` is the fraction
     of the continuum spectral weight inside the window before
     renormalization; below ``MIN_CAPTURED_MASS`` the state is flagged
     ``window_ok=False``.
@@ -177,10 +171,9 @@ def init_single_photon(
         captured >= MIN_CAPTURED_MASS
         and mode_grid.half_width >= 50.0 * rate_scale(system, pulse)
     )
-    phis = np.vstack([amps, amps]) / math.sqrt(2.0)
     return GlobalState(
         psi=0.0 + 0.0j,
-        phis=phis,
+        phi=amps / math.sqrt(2.0),
         captured_mass=captured,
         window_ok=window_ok,
     )
@@ -262,15 +255,14 @@ def _eigenvalues(mode_grid: ModeGrid):
     return anchors, offsets
 
 
-def _expand(mode_grid, anchors, offsets, chi0, phi0, phase):
+def _expand(mode_grid, anchors, offsets, chi0, phi0):
     """Overlaps of the state with the eigenbasis, in blocks of rows.
 
     Row j of a block is the eigenvector gbar/(Delta_k - lambda_j) with
     its emitter entry 1, not yet normalized.  Returns the weights
-    w_j = v_j[chi] c_j, the norm sum |c_j|^2, the rebuilt initial state
-    V c and the even channel at the phases ``phase`` = exp(-i lambda t_f).
-    Float blocks are multiplied by real and imaginary parts separately,
-    never converted to complex.
+    w_j = v_j[chi] c_j, the norm sum |c_j|^2 and the rebuilt initial
+    even channel V c.  Float blocks are multiplied by real and imaginary
+    parts separately, never converted to complex.
     """
     n = mode_grid.n_modes
     scale = mode_grid.coupling / mode_grid.spacing
@@ -278,8 +270,8 @@ def _expand(mode_grid, anchors, offsets, chi0, phi0, phase):
     parts = np.column_stack([phi0.real, phi0.imag])
     weights = np.empty(len(anchors), dtype=np.complex128)
     norm = 0.0
-    # Rows: rebuilt state and final state, real and imaginary parts.
-    sums = np.zeros((4, n))
+    # Rows: real and imaginary parts of the rebuilt state.
+    sums = np.zeros((2, n))
     rows = max(1, _BLOCK_BYTES // (8 * n))
     for lo in range(0, len(anchors), rows):
         block = slice(lo, lo + rows)
@@ -294,9 +286,8 @@ def _expand(mode_grid, anchors, offsets, chi0, phi0, phase):
         w = p / norm2
         weights[block] = w
         norm += float(np.sum(np.abs(p) ** 2 / norm2))
-        wf = w * phase[block]
-        sums += np.stack([w.real, w.imag, wf.real, wf.imag]) @ v
-    return weights, norm, sums[0] + 1j * sums[1], sums[2] + 1j * sums[3]
+        sums += np.stack([w.real, w.imag]) @ v
+    return weights, norm, sums[0] + 1j * sums[1]
 
 
 def _phase_sums(lam: np.ndarray, weights: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -328,15 +319,16 @@ def propagate(
     grid: TimeGrid,
     drift_tol: float = DEFAULT_DRIFT_TOL,
 ) -> OracleTrajectory:
-    """Exact propagation of the coupled sector, recording psi and norm.
+    """Exact propagation of the coupled sector, recording psi.
 
     The even channel obeys d(phi_k)/dt = -i Delta_k phi_k + gbar psi with
     d(psi)/dt = -gbar sum_k phi_k; it is expanded once in the eigenbasis
     of that generator and summed at every sample, so any step samples
-    the same trajectory.  The odd channel picks up exact free phases.
+    the same trajectory.  The sector conserves its own norm, whatever it
+    is (half of the photon's for a state from :func:`init_single_photon`).
     Raises :class:`NormDriftError` when the expansion's norm departs from
-    1, or its rebuild of the initial state from that state, by more than
-    ``drift_tol``.
+    the initial |psi|^2 + ||phi||^2, or its rebuild of the initial state
+    from that state, by more than ``drift_tol``.
 
     Parameters
     ----------
@@ -346,19 +338,16 @@ def propagate(
     grid : TimeGrid
         Sample times; the first is the time of ``state`` (taken as 0).
     drift_tol : float
-        Hard bound on max(|1 - norm|, ||V c - x0||).
+        Hard bound on max(|norm0 - norm|, ||V c - x0||), which the
+        trajectory returns as ``drift``.
     """
-    dets = mode_grid.detunings()
     anchors, offsets = _eigenvalues(mode_grid)
-    lam = dets[anchors] + mode_grid.spacing * offsets
+    lam = mode_grid.detunings()[anchors] + mode_grid.spacing * offsets
     chi0 = -1j * complex(state.psi)
-    phi0 = state.phis[0]
-    weights, norm, rebuilt, phi_final = _expand(
-        mode_grid, anchors, offsets, chi0, phi0, np.exp(-1j * lam * grid.tf)
-    )
-    dark = state.phis[1]
-    dark_mass = float(np.sum(np.abs(dark) ** 2))
-    norm_residual = abs(1.0 - norm - dark_mass)
+    phi0 = state.phi
+    weights, norm, rebuilt = _expand(mode_grid, anchors, offsets, chi0, phi0)
+    norm0 = abs(chi0) ** 2 + float(np.sum(np.abs(phi0) ** 2))
+    norm_residual = abs(norm0 - norm)
     rebuild_residual = math.sqrt(
         abs(complex(np.sum(weights)) - chi0) ** 2
         + float(np.sum(np.abs(rebuilt - phi0) ** 2))
@@ -369,19 +358,10 @@ def propagate(
             f"norm drift {drift:.3e} exceeds {drift_tol:.0e} "
             f"(norm {norm_residual:.3e}, rebuild {rebuild_residual:.3e})"
         )
-    psi_out = 1j * _phase_sums(lam, weights, grid)
-    final = GlobalState(
-        psi=complex(psi_out[-1]),
-        phis=np.vstack([phi_final, dark * np.exp(-1j * dets * grid.tf)]),
-        captured_mass=state.captured_mass,
-        window_ok=state.window_ok,
-    )
-    recurrence_ok = grid.tf < 2.0 * math.pi / mode_grid.spacing
     return OracleTrajectory(
         grid=grid,
         mode_grid=mode_grid,
-        psi=psi_out,
-        norm=norm + dark_mass,
-        final_state=final,
-        recurrence_ok=recurrence_ok,
+        psi=1j * _phase_sums(lam, weights, grid),
+        drift=drift,
+        recurrence_ok=grid.tf < 2.0 * math.pi / mode_grid.spacing,
     )

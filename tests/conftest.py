@@ -175,7 +175,7 @@ def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
         n_modes=n_modes,
         captured_mass=state.captured_mass,
         max_abs_err=float(np.max(np.abs(np.abs(traj.psi) - np.abs(closed)))),
-        max_drift=traj.max_drift(),
+        max_drift=traj.drift,
         recurrence_ok=traj.recurrence_ok,
         window_ok=state.window_ok,
         runtime=runtime,

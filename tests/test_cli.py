@@ -418,6 +418,23 @@ def test_oracle_mode_drift_violation_exits_2(workdir, capsys):
     assert "norm_drift" in capsys.readouterr().err
 
 
+def test_oracle_printed_drift_is_the_gated_drift(workdir, capsys):
+    """A tolerance twice the printed drift passes and half of it fails,
+    so the printed value is the one the gate compares; the CSV column
+    carries the same value."""
+    body = "mode=oracle_check\nhalf_width=100\nn_modes=1001\nt_max=1.0\nout=orc\n"
+    assert main([_write(workdir, body)]) == 0
+    printed = capsys.readouterr().out.split("max_norm_drift = ")[1].split()[0]
+    drift = float(printed)
+    assert drift > 0.0
+    rows = (workdir / "orc_oracle.csv").read_text().splitlines()[1:]
+    column = max(float(row.split(",")[-1]) for row in rows)
+    assert f"{column:.6e}" == printed
+    assert main([_write(workdir, body + f"drift_tol={2.0 * drift!r}\n")]) == 0
+    assert main([_write(workdir, body + f"drift_tol={0.5 * drift!r}\n")]) == 2
+    assert "norm_drift" in capsys.readouterr().err
+
+
 def test_oracle_mode_past_revival_exits_2(workdir, capsys):
     # Comb spacing 0.2: the discrete continuum revives at 2 pi/0.2 = 31.4.
     cfg = _write(

@@ -43,8 +43,11 @@ def run_workload(tree: Path, workload: str, seed: int) -> dict:
         cwd=tree,
         capture_output=True,
         text=True,
-        check=True,
     )
+    if done.returncode != 0:
+        print(f"{workload} seed {seed} failed with exit {done.returncode}:\n{done.stderr}",
+              file=sys.stderr)
+        done.check_returncode()
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
