@@ -13,11 +13,11 @@ lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import (
     DEFAULT_STEP_CAP,
@@ -59,6 +59,8 @@ _EXPREL_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(16))
 _SAMPLES_PER_BEAT = 320
 _EFOLDS = 40.0
 _PEAK_CHUNK = 4096
+# Time tolerance of the refined peak.
+_PEAK_XTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +148,9 @@ def peak_population(system: SystemParams, pulse: PulseParams) -> float:
     2 pi / |deltaL| and at least 320, are taken chunk by chunk until the
     decreasing bound (amp (e^{-a t} + e^{-delta t/2}) / |a - b|)^2 of
     :func:`_population_bound` falls below the best sample.  The best one
-    seeds a bounded maximization between its neighbours, which holds a
-    maximum since neither lies higher.
+    seeds a safeguarded Newton iteration for the zero of d|psi|^2/dt
+    between its neighbours, which holds a maximum since neither lies
+    higher.
     """
     a = 0.5 * system.gamma0
     beta = 0.5 * pulse.delta
@@ -166,13 +169,30 @@ def peak_population(system: SystemParams, pulse: PulseParams) -> float:
             best, t_best = float(pop[k]), float(t[k])
         if amp * (math.exp(-a * t[-1]) + math.exp(-beta * t[-1])) < denom * math.sqrt(best):
             break
-    res = minimize_scalar(
-        lambda s: -abs(closed_form_psi(system, pulse, s)) ** 2,
-        bounds=(max(t_best - h, 0.0), t_best + h),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return max(best, -float(res.fun))
+    # Newton on d|psi|^2/dt = 2 Re(conj(psi) psi'), kept inside the
+    # shrinking bracket by bisection.  With e = amp e^{-b t},
+    # psi' = -a psi - e and psi'' = -a psi' + b e: no 1/(a - b) enters.
+    b = complex(beta, pulse.deltaL)
+    lo, hi = max(t_best - h, 0.0), t_best + h
+    t = t_best
+    while hi - lo > _PEAK_XTOL:
+        p = closed_form_psi(system, pulse, t)
+        e = amp * cmath.exp(-b * t)
+        dp = -a * p - e
+        slope = (p.conjugate() * dp).real
+        if slope > 0.0:
+            lo = t
+        else:
+            hi = t
+        curve = abs(dp) ** 2 + (p.conjugate() * (b * e - a * dp)).real
+        step = slope / curve if curve < 0.0 else math.inf
+        t_next = t - step
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        t, moved = t_next, abs(t_next - t)
+        if moved <= _PEAK_XTOL:
+            break
+    return max(best, abs(closed_form_psi(system, pulse, t)) ** 2)
 
 
 def closed_form_trajectory(
@@ -286,11 +306,14 @@ def full_cycle_grid(
         t_hi = 2.0 * t_lo
         while _population_bound(system, pulse, t_hi) > cycle_tol:
             t_hi *= 2.0
-        t_star = brentq(
-            lambda t: math.log(_population_bound(system, pulse, t)) - math.log(cycle_tol),
-            t_lo,
-            t_hi,
-            xtol=1e-9 / mu,
-        )
+        # Bisection of the monotone bound down to a bracket of 1e-9 / mu.
+        lo, hi = t_lo, t_hi
+        while hi - lo > 1e-9 / mu:
+            mid = 0.5 * (lo + hi)
+            if _population_bound(system, pulse, mid) > cycle_tol:
+                lo = mid
+            else:
+                hi = mid
+        t_star = 0.5 * (lo + hi)
     cap = DEFAULT_STEP_CAP if max_step is None else max_step
     return uniform_grid(2.0 * t_star, default_step(rate_scale(system, pulse), cap))

@@ -11,10 +11,9 @@ moments.  On a sampled run :func:`energy_moments` forms them with the
 trapezoid rule in one pass, for the photon and for the coherent drive
 (``semiclassical``); for the closed-form photon
 :func:`closed_form_moments` forms all four in closed form (the ratio
-moment from I, a difference of digamma functions in one form for
-delta <= gamma0 and another for delta > gamma0, or its asymptotic series
-where the two arguments nearly agree), and :func:`photon_report` reads
-the rows on them:
+moment from I, a divided difference of digamma functions in one form
+for delta <= gamma0 and another for delta > gamma0), and
+:func:`photon_report` reads the rows on them:
 
     m = (integral p, integral Re u, integral Im u, integral occ r)
 
@@ -54,12 +53,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from .dynamics import AmplitudeTrajectory
 from .effective import DEFAULT_ETA
 from .model import PulseParams, SystemParams, TimeGrid
 from .pulse import envelope_at, normalization
+from .special import digamma_divided_difference
 
 __all__ = [
     "ThermoReport",
@@ -73,14 +72,6 @@ __all__ = [
 FULL_CYCLE_POP = 1e-9
 
 _CHUNK = 1 << 20
-
-# The digamma's asymptotic series replaces the digamma difference where
-# |s| > 16 |d|, with B_2k for k = 1..8 (the next term is below 1e-21 of
-# the sum) and 16 Taylor terms of log1p(x) / x, |x| < 1/16.
-_SERIES_RATIO = 16.0
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-_LOG_TERMS = 16
-
 
 @dataclass(frozen=True)
 class ThermoReport:
@@ -150,32 +141,15 @@ def energy_moments(
 
 def _phase_integral(s: complex, d: complex) -> complex:
     """I(s, d) of :func:`closed_form_moments` for Re d >= 0 and Re s > 0
-    (1 / s at d = 0).  The digamma arguments are formed from s and d
-    directly: as s / conj(d) + (1 + d / conj(d)), the rounding of the sum,
-    magnified by the division by d, put Im I off by 4e-11 at |d| = 1000.
+    (1 / s at d = 0), a divided difference of digamma functions
+    (``special.digamma_divided_difference``) whose arguments are never
+    formed: the two digamma values would cancel (Im I was off by 9e-14
+    near matched bandwidth), and s / conj(d) + 1 + d / conj(d) would
+    round (by 4e-11 at |d| = 1000).
     """
     if d == 0:
         return 1.0 / s
-    dc = d.conjugate()
-    sd = s + d
-    if abs(s) <= _SERIES_RATIO * abs(d):
-        return (psi((s + 2.0 * d.real) / dc) - psi(s / dc)) / d - dc / (d * sd)
-    # With u = conj(d)/s and v = conj(d)/(s + d), the k-th bracket times
-    # conj(d)^2k / d is -conj(d) / (s (s + d)) h_{2k-1}(u, v), where
-    # h_m = sum_j v^j u^(m-j) (so h_m = u h_{m-1} + v^m).
-    u, v = dc / s, dc / sd
-    h, vm, tail = 1.0, 1.0, 0.5
-    for m in range(1, 2 * len(_BERNOULLI)):
-        vm *= v
-        h = u * h + vm
-        if m % 2:
-            tail += _BERNOULLI[m // 2] / (m + 1) * h
-    # log1p(x) / x as a series: a quotient would cancel its imaginary part.
-    x = d / s
-    log_ratio = 0.0
-    for k in range(_LOG_TERMS, 0, -1):
-        log_ratio = 1.0 / k - x * log_ratio
-    return log_ratio / s + dc / (s * sd) * tail
+    return digamma_divided_difference(s, d, d.conjugate())
 
 
 def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
@@ -195,19 +169,14 @@ def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
     -(N^2 / 2) Im I(delta, d), where I(s, d) = integral e^{-s t} X / conj X dt
     = conj(d) sum_k 1 / ((s + k conj d) (s + d + k conj d)).  For Re d >= 0,
 
-        I(s, d) = [digamma((s + 2 Re d) / conj d) - digamma(s / conj d)] / d
-                  - conj(d) / (d (s + d)),
+        I(s, d) = [digamma((s + d) / conj d) - digamma(s / conj d)] / d,
 
-    both arguments in the right half-plane.  For Re d < 0 (delta > gamma0),
+    formed as a divided difference (shifts of the sum, then the
+    digamma's asymptotic series), which keeps its digits where the two
+    values nearly agree.  For Re d < 0 (delta > gamma0),
     X / conj X = e^{2 i deltaL t} exprel(d t) / exprel(conj(d) t) gives
-    I(delta, d) = I(delta - 2 i deltaL, -d).  Where |s| > 16 |d| the two
-    arguments nearly agree and the digamma's asymptotic series takes over,
-
-        I = log1p(d / s) / d + conj(d) / (2 s (s + d))
-            - sum_{k=1..8} (B_2k / 2k) conj(d)^2k [(s + d)^-2k - s^-2k] / d,
-
-    each bracket over d formed as a divided difference.  The ratio is not
-    guarded: the integral is that of the definition.
+    I(delta, d) = I(delta - 2 i deltaL, -d).  The ratio is not guarded:
+    the integral is that of the definition.
     """
     a = 0.5 * system.gamma0
     beta = 0.5 * pulse.delta

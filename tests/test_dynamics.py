@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from photon_work import dynamics
 from photon_work.dynamics import (
     _exprel,
+    _population_bound,
     closed_form_psi,
     closed_form_trajectory,
     full_cycle_grid,
@@ -117,6 +119,40 @@ def test_peak_population_is_the_continuous_maximum(sys1, delta, deltaL):
         assert peak == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
 
+def _peak_mp(gamma0, delta, deltaL, t0):
+    """Largest |psi|^2 at 40 digits: the zero of d|psi|^2/dt =
+    2 Re(conj(psi) psi') nearest t0, with psi' = -a psi - amp e^{-b t}."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(gamma0) / 2
+        b = mpmath.mpc(mpmath.mpf(delta) / 2, deltaL)
+        amp = mpmath.sqrt(mpmath.mpf(gamma0) * delta / 2)
+
+        def psi(t):
+            if a == b:
+                return -amp * t * mpmath.exp(-b * t)
+            return amp * (mpmath.exp(-a * t) - mpmath.exp(-b * t)) / (a - b)
+
+        def slope(t):
+            p = psi(t)
+            return mpmath.re(mpmath.conj(p) * (-a * p - amp * mpmath.exp(-b * t)))
+
+        t = mpmath.findroot(slope, mpmath.mpf(t0))
+        return float(abs(psi(t)) ** 2)
+
+
+@pytest.mark.parametrize(
+    "delta,deltaL", [(1.0, 0.0), (1.0, 20.0), (1.0, -20.0), (0.3, 20.0), (0.3, -20.0)]
+)
+def test_peak_population_matches_a_forty_digit_maximum(sys1, delta, deltaL):
+    # Confluence (a = b) and fast beats; the start of the 40-digit root
+    # search is the best of 400001 samples.
+    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    ts = np.linspace(0.0, 80.0 / min(1.0, delta), 400001)
+    t0 = ts[int(np.argmax(np.abs(closed_form_psi(sys1, pulse, ts))))]
+    want = _peak_mp(sys1.gamma0, pulse.delta, pulse.deltaL, t0)
+    assert abs(peak_population(sys1, pulse) - want) <= 2e-15 * want
+
+
 @given(
     delta=st.floats(min_value=0.01, max_value=10.0),
     deltaL=st.floats(min_value=-5.0, max_value=5.0),
@@ -190,6 +226,34 @@ def test_full_cycle_grid_reaches_floor(sys1):
     assert grid.tf > 60.0
     end_pop = abs(closed_form_psi(sys1, pulse, grid.tf)) ** 2
     assert end_pop < 1e-12
+
+
+@pytest.mark.parametrize(
+    "delta,deltaL,cycle_tol",
+    [
+        (1.0, 0.0, 1e-12),
+        (0.03, 0.5, 1e-12),
+        (1e-3, 0.2, 1e-12),
+        (3.0, -2.0, 1e-9),
+        (0.3, 20.0, 1e-6),
+    ],
+)
+def test_full_cycle_root_meets_the_tolerance(sys1, monkeypatch, delta, deltaL, cycle_tol):
+    # tf = 2 t* is passed to uniform_grid exactly; t* lies within the
+    # root tolerance 1e-9 / mu of the crossing of the monotone bound.
+    horizons = []
+
+    def spy(tf, step):
+        horizons.append(tf)
+        return uniform_grid(tf, step)
+
+    monkeypatch.setattr(dynamics, "uniform_grid", spy)
+    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    full_cycle_grid(sys1, pulse, cycle_tol=cycle_tol)
+    t_star = 0.5 * horizons[0]
+    xtol = 1e-9 / (0.5 * min(sys1.gamma0, pulse.delta))
+    assert _population_bound(sys1, pulse, t_star - xtol) > cycle_tol
+    assert _population_bound(sys1, pulse, t_star + xtol) <= cycle_tol
 
 
 def test_full_cycle_grid_follows_slow_rate(sys1):

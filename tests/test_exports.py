@@ -4,9 +4,11 @@ function a module defines, private helpers included, follows the
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +75,32 @@ def test_step_means_an_exact_spacing(module):
         and "step" in inspect.signature(obj).parameters
     ]
     assert not bad, f"{module}: {bad} take step; name a cap max_step"
+
+
+def _module_level_imports(tree):
+    """Import statements outside every function body (if, try and class
+    blocks included)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["__init__"] + SUBMODULES)
+def test_no_module_level_scipy_import(module):
+    """The package imports numpy and the standard library only, so that
+    ``photon-work`` starts quickly; a function may still import scipy
+    where it needs it (``dynamics.integrate_psi``)."""
+    path = Path(photon_work.__file__).with_name(f"{module}.py")
+    bad = []
+    for node in _module_level_imports(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if node.level == 0 else []
+        bad += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not bad, f"{module}: {bad}"

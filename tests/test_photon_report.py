@@ -10,7 +10,13 @@ import pytest
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
 from photon_work.model import make_pulse, make_system
 from photon_work.pulse import normalization
-from photon_work.thermo import _ledger, closed_form_moments, photon_report, thermo_report
+from photon_work.thermo import (
+    _ledger,
+    _phase_integral,
+    closed_form_moments,
+    photon_report,
+    thermo_report,
+)
 
 # Seed-1 detuning sweep of the benchmark (gamma0 = 1, omega0 = 100,
 # rho0 = 1/2pi, delta = 0.03): deltaL, W1, Q1, Q1_abs, Q1_em, each the
@@ -175,6 +181,26 @@ def test_ratio_moment_far_from_resonance_matches_twenty_digits(sys1, deltaL):
     ratio = closed_form_moments(sys1, make_pulse(0.5, 100.0 + deltaL, sys1))[3]
     want = -math.copysign(3.7499995194793681e-4, deltaL)
     assert abs(ratio - want) <= 1e-13 * abs(want)
+
+
+def test_phase_integral_keeps_its_digits_near_matched_bandwidth():
+    # I(delta, d), d = a - b, for delta < gamma0 from 40-digit digamma
+    # values.  Where Re d << |d| the two digamma values are of size
+    # log|s/d| and their difference of size Re d/|d|: subtracting them
+    # put Im I off by up to 8.7e-14 (delta = 0.9, deltaL = 0.05); the
+    # divided difference meets every point to 1.7e-15.
+    worst = 0.0
+    for delta in (0.03, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
+        for deltaL in (0.2, -0.2, 0.05, 1.0, 3.0, -5.0, 12.0):
+            d = complex(0.5 - 0.5 * delta, -deltaL)
+            got = _phase_integral(complex(delta), d)
+            with mpmath.workdps(40):
+                s, dm = mpmath.mpf(delta), mpmath.mpc(d)
+                dc = mpmath.conj(dm)
+                want = (mpmath.digamma((s + 2 * dm.real) / dc) - mpmath.digamma(s / dc)) / dm
+                want = complex(want - dc / (dm * (s + dm)))
+            worst = max(worst, abs(got.imag - want.imag) / abs(want.imag))
+    assert worst <= 4e-15
 
 
 @pytest.mark.parametrize("deltaL", [-20.0, -3.0, -0.2, 0.2, 3.0, 20.0])
