@@ -9,13 +9,16 @@ coherent-drive counterpart in the narrowband low-excitation regime:
 
 The photon's side is grid-free (``thermo.photon_report`` and
 ``dynamics.peak_population``).  All three drive-side values come from the
-time-domain work decomposition of a Bloch trajectory driven by the same
-envelope on a full-cycle grid; in the low-excitation regime the
-coherence tracks the quantum amplitude pointwise, so the paired
-integrals converge as the bandwidth shrinks.  (The frequency
-domain quadratures in the semiclassical module target the quasi-steady
-tail only and drop a turn-on transient of the same order, so they are
-not used for the reactive pair.)
+time-domain work decomposition of the Bloch pair driven by the same
+envelope: RK4 on a head [0, 80/gamma0] whose length does not depend on
+the bandwidth, and past it the exact series in the envelope that the
+pair follows once its transient has died out
+(``semiclassical.work_total_and_decomposition`` with ``tail=True``).
+In the low-excitation regime the coherence tracks the quantum amplitude
+pointwise, so the paired integrals converge as the bandwidth shrinks.
+(The frequency domain quadratures in the semiclassical module target the
+quasi-steady tail only and drop a turn-on transient of the same order,
+so they are not used for the reactive pair.)
 
 Relative errors use the larger magnitude as denominator with an absolute
 floor, since both members of the first pair vanish at zero detuning.
@@ -31,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_CYCLE_TOL, full_cycle_grid, peak_population
+from .dynamics import peak_population
 from .model import PulseParams, SystemParams, make_pulse
 from .semiclassical import (
     SemiclassicalReport,
+    head_grid,
     integrate_bloch,
     work_total_and_decomposition,
 )
@@ -53,8 +57,6 @@ REL_ERR_FLOOR = 1e-8
 REGIME_DELTA_MAX = 0.01
 REGIME_POP_MAX = 0.02
 
-_EQUIV_STEP_CAP = 5e-3
-
 
 @dataclass(frozen=True)
 class RegimeFlags:
@@ -68,8 +70,8 @@ class RegimeFlags:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The photon's grid-free report, the drive's report on a full-cycle
-    grid, and the relative errors of the pairs W1/W_reac, Q1_abs/W_abs and
+    """The photon's grid-free report, the drive's report on its head and
+    tail, and the relative errors of the pairs W1/W_reac, Q1_abs/W_abs and
     Q1_em/Q_alpha."""
 
     photon: ThermoReport
@@ -102,7 +104,6 @@ def compare_equivalences(
     system: SystemParams,
     pulse: PulseParams,
     max_step: float | None = None,
-    cycle_tol: float = DEFAULT_CYCLE_TOL,
 ) -> EquivalenceReport:
     """Run both pipelines over a full cycle and compare the three pairs.
 
@@ -111,20 +112,18 @@ def compare_equivalences(
     system : SystemParams
     pulse : PulseParams
     max_step : float, optional
-        Cap passed to :func:`full_cycle_grid` for the drive's Bloch pair;
-        unset, 5e-3, fine enough that the quadrature error is far below
-        the equivalence scale even for the very long grids that narrowband
-        pulses need.  The photon's side has no grid.
-    cycle_tol : float
-        Full-cycle population tolerance passed to the grid builder.
+        Cap on the step of the drive's head (:func:`semiclassical.head_grid`),
+        which is at most 1e-3 whatever the cap: Q_alpha's RK4 error needs
+        it.  The head's length is fixed by gamma0 and the series covers
+        the rest of the cycle, so there is no cycle tolerance.  The
+        photon's side has no grid.
     """
     rep = photon_report(system, pulse)
     max_pop_q = peak_population(system, pulse)
 
-    cap = _EQUIV_STEP_CAP if max_step is None else max_step
-    grid = full_cycle_grid(system, pulse, cycle_tol=cycle_tol, max_step=cap)
-    btraj = integrate_bloch(system, pulse, grid)
-    srep = work_total_and_decomposition(btraj)
+    btraj = integrate_bloch(system, pulse, head_grid(system, pulse, max_step))
+    srep = work_total_and_decomposition(btraj, tail=True)
+    # The series starts below the head's peak (checked with the tail).
     max_pop_s = float(np.max(btraj.rho_ee))
     del btraj
 

@@ -5,19 +5,22 @@ One config describes one run mode:
     single          full-cycle trajectory + energy summary (grid-free)
     detuning_scan   thermo functionals over a laser-detuning sweep (grid-free;
                     step and cycle_tol have no effect)
-    bandwidth_scan  quantum/semiclassical comparison over bandwidths
+    bandwidth_scan  quantum/semiclassical comparison over bandwidths (the
+                    drive's head has a fixed length: cycle_tol has no effect)
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
                     sampled at the requested step
 
 Numbers are serialized with 17 significant digits (lossless float64
 round trip) and LF line endings, so identical configs give byte-identical
-files.  Exit status: 0 on success, 2 when an enforced residual exceeds
-its tolerance, the oracle horizon reaches the comb revival time or the
-oracle's |psi| leaves the closed form by more than ORACLE_ABS_TOL (the
-violation is named on stderr), 1 for config or I/O errors.  Residual
-tolerances follow the invariant units: first-law and heat-split
-thresholds scale with omega0, the work-split threshold does not.
+files.  Exit status: 0 on success, 2 when an enforced residual (in the
+equivalence modes also the drive's split residual between its head and
+its series tail) exceeds its tolerance, the oracle horizon reaches the
+comb revival time or the oracle's |psi| leaves the closed form by more
+than ORACLE_ABS_TOL (the violation is named on stderr), 1 for config or
+I/O errors.  Residual tolerances follow the invariant units: first-law
+and heat-split thresholds scale with omega0, the work-split threshold
+does not.
 """
 
 from __future__ import annotations
@@ -318,12 +321,7 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
     columns: dict = {}
     violations = []
     for d in deltas:
-        rep = compare_equivalences(
-            system,
-            _pulse(config, system, d),
-            max_step=config.step,
-            cycle_tol=config.cycle_tol,
-        )
+        rep = compare_equivalences(system, _pulse(config, system, d), max_step=config.step)
         row = {
             "delta": d,
             "w1": rep.photon.W1,
@@ -344,17 +342,20 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
             f"delta={d:g}: "
             + " ".join(f"{name}={row[name]:.4g}" for name in errors)
             + f" in_regime={int(rep.regime.in_regime)}"
+            + f" split_residual={rep.drive.split_residual:.3e}"
         )
         where = f" at delta={d:g}"
         violations += _residual_violations(
             rep.photon, system.omega0, config.residual_tol, where
         )
-        res_drive = rep.drive.residual_decomposition
-        if abs(res_drive) > config.residual_tol:
-            violations.append(
-                f"res_decomposition={res_drive:.6e} exceeds "
-                f"{config.residual_tol:.6e}{where}"
+        violations += [
+            f"{name}={val:.6e} exceeds {config.residual_tol:.6e}{where}"
+            for name, val in (
+                ("res_decomposition", rep.drive.residual_decomposition),
+                ("split_residual", rep.drive.split_residual),
             )
+            if abs(val) > config.residual_tol
+        ]
         if rep.regime.in_regime:
             violations += [
                 f"{name}={row[name]:.6e} exceeds {config.equiv_tol:.6e}{where}"

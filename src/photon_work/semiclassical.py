@@ -16,6 +16,26 @@ numpy and composes them by a blocked two-level prefix scan (Blelloch,
 last state into the next chunk.  It is the RK4 arithmetic in another
 order, so results agree with step-by-step RK4 to rounding, not bitwise.
 
+A drive run needs RK4 only on a head [0, T], T = 80/gamma0
+(:func:`head_grid`).  In the laser frame sigma = s e^{i deltaL t}, with
+x = e^{-delta t/2} and F = g alpha~(0), the pair reads
+y' = L y + F x (M y + e) for y = (Re sigma, Im sigma, rho_ee), with
+L = [[-gamma0/2, -deltaL, 0], [deltaL, -gamma0/2, 0], [0, 0, -gamma0]],
+M = [[0, 0, 2], [0, 0, 0], [-2, 0, 0]] and e = (-1, 0, 0).  The pulse
+enters only through x, and a particular solution is the series
+y_p = sum_{k>=1} c_k x^k with (-k delta/2 - L) c_1 = F e and
+(-k delta/2 - L) c_k = F M c_{k-1} (Frobenius at the regular singular
+point x = 0; Bender & Orszag, Advanced Mathematical Methods for
+Scientists and Engineers, ch. 3).  The rest, y - y_p, solves
+y' = (L + F x M) y; M is antisymmetric and L's symmetric part is at most
+-gamma0/2, so it falls at least as fast as e^{-gamma0 t/2} and is below
+e^{-40} past T.  There y = y_p, and the tail's moments over [T, inf)
+follow from integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series
+stops before the orders near resonance (k delta = gamma0 at deltaL = 0,
+or 2 gamma0); where delta > 0.9 gamma0 it is empty and the head is the
+whole cycle.  The split residual |y_RK4(T) - y_p(T)| measures the
+transient left at T plus the head's error.
+
 The work received from the drive, W_alpha = integral Tr[rho_s dH/dt] dt,
 splits exactly into three pieces by writing rho_eg = R e^{i theta}:
 
@@ -27,10 +47,11 @@ with omega_s^eg = -Im[d(rho_eg)/dt / rho_eg] the instantaneous emission
 frequency.  The split is algebraic and valid for the full nonlinear
 motion.  Each piece, and the heat Q_alpha = -gamma0 integral (omega0
 rho_ee + <H_int>/2) dt, is one coefficient row on the moments of
-``thermo.energy_moments`` (u = alpha rho_eg*, occ = 1 - 2 rho_ee).  W_reac,
-W_abs and Q_alpha are the photon's W1_reac, Q1_abs and Q1_em rows
-(``thermo.shared_rows``); W_alpha has a row of its own, so the residual
-compares independently written rows and is rounding noise.
+``thermo.energy_moments`` (u = alpha rho_eg*, occ = 1 - 2 rho_ee), plus
+those of the tail on a head.  W_reac, W_abs and Q_alpha are the photon's
+W1_reac, Q1_abs and Q1_em rows (``thermo.shared_rows``); W_alpha has a
+row of its own, so the residual compares independently written rows and
+is rounding noise.
 
 Linear response: the susceptibility of the dipole is a single Lorentzian
 
@@ -43,18 +64,35 @@ have closed forms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PulseParams, SystemParams, TimeGrid, check_step
-from .pulse import envelope_at
-from .thermo import check_full_cycle, energy_moments, row_value, shared_rows
+from .model import (
+    PulseParams,
+    SystemParams,
+    TimeGrid,
+    check_step,
+    default_step,
+    rate_scale,
+    uniform_grid,
+)
+from .pulse import envelope_at, normalization
+from .thermo import (
+    check_full_cycle,
+    energy_moments,
+    ratio_floor,
+    ratio_integrand,
+    row_value,
+    shared_rows,
+)
 
 __all__ = [
     "BlochTrajectory",
     "SemiclassicalReport",
+    "head_grid",
     "integrate_bloch",
     "susceptibility",
     "work_reactive",
@@ -91,7 +129,24 @@ class SemiclassicalReport:
     W_abs: float
     Q_alpha: float
     residual_decomposition: float
+    split_residual: float
 
+
+# Head length in units of 1/gamma0: past it the Bloch transient, which
+# falls at least as fast as e^{-gamma0 t/2}, is below e^{-40}.
+HEAD_LENGTH = 80.0
+# Cap on the head's step: Q_alpha's RK4 error on the head needs 1e-3.
+HEAD_STEP_CAP = 1e-3
+# The series keeps the orders k with k delta <= _ORDER_LIMIT gamma0.  The
+# first order that can be resonant has k delta = gamma0; every dropped
+# order carries x_T^k <= e^{-36}.
+_ORDER_LIMIT = 0.9
+# A term below this share of its component's largest term is negligible;
+# the series ends after two such orders in a row (odd orders carry the
+# coherence, even ones the population).
+_SERIES_RTOL = 1e-17
+# Gauss-Legendre nodes of the tail's ratio moment.
+_TAIL_NODES = 60
 
 # Steps per scan chunk.  Bounds the scan's working memory (a few hundred
 # bytes a step) whatever the grid length; blocks are isqrt(_CHUNK) steps.
@@ -234,6 +289,110 @@ def integrate_bloch(
     )
 
 
+def head_grid(
+    system: SystemParams, pulse: PulseParams, max_step: float | None = None
+) -> TimeGrid:
+    """Grid on [0, HEAD_LENGTH / gamma0] for the head of a drive run.
+
+    The spacing is ``min(max_step, HEAD_STEP_CAP, 0.02 / rate)``; unset,
+    the cap is ``HEAD_STEP_CAP``.  The length does not depend on the
+    bandwidth: :func:`work_total_and_decomposition` with ``tail=True``
+    covers the rest of the cycle with an exact series.
+    """
+    cap = HEAD_STEP_CAP if max_step is None else min(max_step, HEAD_STEP_CAP)
+    return uniform_grid(
+        HEAD_LENGTH / system.gamma0, default_step(rate_scale(system, pulse), cap)
+    )
+
+
+def _series(traj: BlochTrajectory) -> np.ndarray:
+    """Coefficients c_1 .. c_K (rows) of the particular solution
+    y_p = sum_k c_k x^k of the Bloch pair in the laser frame (module
+    docstring), truncated where the terms at the end of ``traj``'s grid
+    are negligible or the orders near resonance.  Shape (K, 3); K = 0
+    where delta > _ORDER_LIMIT gamma0.
+    """
+    gamma0 = traj.system.gamma0
+    delta = traj.pulse.delta
+    deltaL = traj.pulse.deltaL
+    f = traj.amplitude_scale * traj.system.g * normalization(traj.system, traj.pulse)
+    lin = np.array(
+        [[-0.5 * gamma0, -deltaL, 0.0], [deltaL, -0.5 * gamma0, 0.0], [0.0, 0.0, -gamma0]]
+    )
+    x_end = math.exp(-0.5 * delta * traj.grid.tf)
+    orders = math.floor(_ORDER_LIMIT * gamma0 / delta)
+    coeffs = []
+    lead = np.zeros(3)
+    small = 0
+    rhs = np.array([-f, 0.0, 0.0])  # F e
+    for k in range(1, orders + 1):
+        c = np.linalg.solve(-0.5 * k * delta * np.eye(3) - lin, rhs)
+        coeffs.append(c)
+        term = np.abs(c) * x_end**k
+        lead = np.maximum(lead, term)
+        small = small + 1 if np.all(term <= _SERIES_RTOL * lead) else 0
+        if small == 2:
+            break
+        rhs = f * np.array([2.0 * c[2], 0.0, -2.0 * c[0]])  # F M c
+    return np.array(coeffs).reshape(-1, 3)
+
+
+def _series_state(coeffs: np.ndarray, x):
+    """y_p = sum_k c_k x^k by Horner's rule; shape (3,) + shape(x)."""
+    x = np.asarray(x, dtype=float)
+    y = np.zeros((3,) + x.shape)
+    for c in coeffs[::-1]:
+        y = (y + c.reshape((3,) + (1,) * x.ndim)) * x
+    return y
+
+
+def _tail(traj: BlochTrajectory) -> tuple:
+    """The four moments over [T, inf), T the end of the head ``traj``, on
+    the series of :func:`_series`, and the split residual at T.
+
+    With u = alpha rho_eg* = N x conj(sigma) and dt = -2 dx / (delta x),
+    the three linear moments are exact sums of integral_T^inf x^k dt =
+    2 x_T^k / (k delta).  The ratio moment is a Gauss-Legendre sum over
+    x in [0, x_T], its integrand smooth there, with the ratio zeroed at
+    the nodes where |sigma|^2 is at or below the head's
+    ``thermo.ratio_floor``, as ``energy_moments`` zeroes it at samples.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    t_end = traj.grid.tf
+    if t_end * traj.system.gamma0 < HEAD_LENGTH * (1.0 - 1e-12):
+        raise ValueError(
+            f"head ends at {t_end:g}: the tail needs at least "
+            f"{HEAD_LENGTH:g}/gamma0 (head_grid)"
+        )
+    delta = traj.pulse.delta
+    x_end = math.exp(-0.5 * delta * t_end)
+    coeffs = _series(traj)
+    y_end = _series_state(coeffs, x_end)
+    sigma = complex(traj.rho_eg[-1]) * cmath.exp(1j * traj.pulse.deltaL * t_end)
+    split = float(np.linalg.norm(y_end - (sigma.real, sigma.imag, traj.rho_ee[-1])))
+    if y_end[2] > float(np.max(traj.rho_ee)):
+        raise ValueError(f"the series' rho_ee(T) = {y_end[2]:.6e} exceeds the head's peak")
+
+    n_amp = traj.amplitude_scale * normalization(traj.system, traj.pulse)
+    k = np.arange(1, len(coeffs) + 1)
+    by_k = 2.0 * x_end**k / (k * delta)
+    by_k1 = 2.0 * x_end ** (k + 1) / ((k + 1) * delta)
+    nodes, weights = leggauss(_TAIL_NODES)
+    x = 0.5 * x_end * (nodes + 1.0)
+    y = _series_state(coeffs, x)
+    u = n_amp * x * (y[0] - 1j * y[1])
+    floor = ratio_floor(np.abs(traj.rho_eg) ** 2)
+    r = ratio_integrand(u, y[0] ** 2 + y[1] ** 2, floor, y[2])
+    moments = (
+        float(coeffs[:, 2] @ by_k),
+        n_amp * float(coeffs[:, 0] @ by_k1),
+        -n_amp * float(coeffs[:, 1] @ by_k1),
+        0.5 * x_end * float(weights @ (r * 2.0 / (delta * x))),
+    )
+    return moments, split
+
+
 def susceptibility(system: SystemParams, omega):
     """Linear susceptibility chi~'(omega) + i chi~''(omega) of the dipole.
 
@@ -288,16 +447,24 @@ def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
 
 
 def work_total_and_decomposition(
-    traj: BlochTrajectory, allow_partial: bool = False
+    traj: BlochTrajectory, allow_partial: bool = False, tail: bool = False
 ) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
     All five functionals are coefficient rows on the trajectory's
-    trapezoid moments (module docstring).  The W_alpha and W_int rows use
-    the exact envelope relation ``d(alpha~)/dt = -(delta/2 + i deltaL)
-    alpha~``, and the drive is recomputed at the integration's times, so
-    any amplitude scaling carries over.  The system and the pulse are read
-    from ``traj``, so they are always those it was integrated with.
+    end-corrected trapezoid moments (module docstring).  The W_alpha and
+    W_int rows use the exact envelope relation ``d(alpha~)/dt =
+    -(delta/2 + i deltaL) alpha~``, and the drive is recomputed at the
+    integration's times, so any amplitude scaling carries over.  The
+    system and the pulse are read from ``traj``, so they are always those
+    it was integrated with.
+
+    With ``tail``, ``traj`` is the head of the run (at least
+    ``HEAD_LENGTH / gamma0`` long, :func:`head_grid`) and the series of
+    the module docstring adds the moments of [T, inf); ``split_residual``
+    is then |y_RK4(T) - y_p(T)|, the transient left at T plus the head's
+    error (0 without a tail).  The series must start below the head's
+    largest rho_ee, so that the head holds the run's peak population.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
@@ -305,8 +472,12 @@ def work_total_and_decomposition(
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
 
-    check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
-    m = energy_moments(
+    if tail:
+        extra, split = _tail(traj)
+    else:
+        check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
+        extra, split = (0.0,) * 4, 0.0
+    head = energy_moments(
         traj.grid,
         traj.system,
         traj.pulse,
@@ -314,6 +485,7 @@ def work_total_and_decomposition(
         population=traj.rho_ee,
         amplitude_scale=traj.amplitude_scale,
     )
+    m = tuple(a + b for a, b in zip(head, extra))
     reactive, absorptive, emission = shared_rows(traj.system)
     w_alpha = row_value((0.0, -2.0 * g * (omega0 + deltaL), -g * delta, 0.0), m)
     w_int = row_value((0.0, -2.0 * g * deltaL, -g * (gamma0 + delta), 0.0), m)
@@ -326,4 +498,5 @@ def work_total_and_decomposition(
         W_abs=w_abs,
         Q_alpha=row_value(emission, m),
         residual_decomposition=w_alpha - (w_int + w_reac + w_abs),
+        split_residual=split,
     )

@@ -8,8 +8,8 @@ Definitions (units hbar = 1, energies in hbar gamma0):
 
 with omega_s = omega0 + delta_eff.  Every functional is linear in four
 moments.  On a sampled run :func:`energy_moments` forms them with the
-trapezoid rule in one pass, for the photon and for the coherent drive
-(``semiclassical``); for the closed-form photon
+trapezoid rule and Gregory end corrections in one pass, for the photon
+and for the coherent drive (``semiclassical``); for the closed-form photon
 :func:`closed_form_moments` forms all four in closed form (the ratio
 moment from I, a divided difference of digamma functions in one form
 for delta <= gamma0 and another for delta > gamma0), and
@@ -73,6 +73,12 @@ FULL_CYCLE_POP = 1e-9
 
 _CHUNK = 1 << 20
 
+# Gregory end weights beyond the trapezoid's, from the end sample inwards
+# (energy_moments), and the fewest samples a grid may have.
+_GREGORY = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
+GREGORY_MIN_SAMPLES = 8
+
+
 @dataclass(frozen=True)
 class ThermoReport:
     """Energy balance of a single run (all energies in hbar gamma0).
@@ -99,6 +105,23 @@ class ThermoReport:
     residual_W_split: float
 
 
+def ratio_floor(mod2) -> float:
+    """The level at or below which ``|coherence|^2`` zeroes the ratio r:
+    ``DEFAULT_ETA`` times the largest of ``mod2``, the run's |coherence|^2."""
+    return DEFAULT_ETA * float(np.max(mod2))
+
+
+def ratio_integrand(u, mod2, floor, population=None):
+    """occ r = occ Re u Im u / mod2, zero where ``mod2`` (|coherence|^2) is
+    at or below ``floor``; occ = 1 - 2 ``population``, or 1 for the
+    photon (None)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(mod2 > floor, u.real * u.imag / mod2, 0.0)
+    if population is not None:
+        r *= 1.0 - 2.0 * population
+    return r
+
+
 def energy_moments(
     grid: TimeGrid,
     system: SystemParams,
@@ -107,35 +130,52 @@ def energy_moments(
     population=None,
     amplitude_scale: float = 1.0,
 ) -> tuple:
-    """The four trapezoid moments m of one run (module docstring).
+    """The four moments m of one run (module docstring), by the trapezoid
+    rule with Gregory end corrections.
 
     ``coherence`` is psi or rho_eg on ``grid``; the drive (phi or alpha)
     is ``amplitude_scale`` times the envelope of ``pulse`` at the times
     k h.  ``population`` is rho_ee, or None for the photon: p = |psi|^2
     and occ = 1.  Chunks of ``_CHUNK`` steps share their end samples,
     which bounds the memory of the per-sample arrays, the drive included.
+    The corrections act at the grid's two ends only, through the fourth
+    differences (Fornberg, "Improving the accuracy of the trapezoidal
+    rule", SIAM Review 63(1), 2021), so the rule integrates polynomials
+    up to degree 5 exactly; grids of fewer than ``GREGORY_MIN_SAMPLES``
+    samples are refused.
     """
     n, h = grid.n, grid.spacing
+    if n < GREGORY_MIN_SAMPLES:
+        raise ValueError(
+            f"grid of {n} samples: the end corrections need at least "
+            f"{GREGORY_MIN_SAMPLES}"
+        )
     mod2 = np.abs(coherence) ** 2
-    threshold = DEFAULT_ETA * float(mod2.max())
-    sums = [0.0] * 4
-    for lo in range(0, max(n - 1, 1), _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n - 1) + 1)
+    floor = ratio_floor(mod2)
+
+    def integrands(sel, t):
         # Bound to a name before the product: numpy would otherwise write
         # the product into this temporary's buffer, and that in-place loop
         # can round differently in the last bit.
-        d = amplitude_scale * envelope_at(system, pulse, np.arange(lo, sl.stop) * h)
-        u = d * np.conj(coherence[sl])
-        m = mod2[sl]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(m > threshold, u.real * u.imag / m, 0.0)
-        if population is None:
-            p = m
-        else:
-            p = population[sl]
-            r *= 1.0 - 2.0 * p
-        for k, y in enumerate((p, u.real, u.imag, r)):
-            sums[k] += h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
+        d = amplitude_scale * envelope_at(system, pulse, t)
+        u = d * np.conj(coherence[sel])
+        m = mod2[sel]
+        pop = None if population is None else population[sel]
+        p = m if pop is None else pop
+        return p, u.real, u.imag, ratio_integrand(u, m, floor, pop)
+
+    sums = [0.0] * 4
+    for lo in range(0, n - 1, _CHUNK):
+        hi = min(lo + _CHUNK, n - 1) + 1
+        for j, y in enumerate(integrands(slice(lo, hi), np.arange(lo, hi) * h)):
+            sums[j] += h * (float(y.sum()) - 0.5 * (float(y[0]) + float(y[-1])))
+    # Left end: h (D/12 - D^2/24 + 19 D^3/720 - 3 D^4/160) on the forward
+    # differences D; right end: h (-B/12 - B^2/24 - 19 B^3/720 - 3 B^4/160)
+    # on the backward ones B.  Both are _GREGORY from the end inwards.
+    w = len(_GREGORY)
+    ends = np.r_[0:w, n - 1 : n - 1 - w : -1]
+    for j, y in enumerate(integrands(ends, ends * h)):
+        sums[j] += h * float(_GREGORY @ (y[:w] + y[w:]))
     return tuple(sums)
 
 
@@ -256,8 +296,9 @@ def thermo_report(
     traj: AmplitudeTrajectory,
     allow_partial: bool = False,
 ) -> ThermoReport:
-    """Full energy balance with decomposition residuals, by the trapezoid
-    rule on a sampled trajectory (the RK4 or the oracle amplitude; the
+    """Full energy balance with decomposition residuals, by the
+    end-corrected trapezoid rule (:func:`energy_moments`) on a sampled
+    trajectory (the RK4 or the oracle amplitude; the
     closed form needs no grid, see :func:`photon_report`).
 
     Parameters

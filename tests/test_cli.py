@@ -254,14 +254,17 @@ def test_exit_2_names_violated_residual(workdir, capsys):
 
 
 def test_equivalence_mode_exit_2_names_violated_residual(workdir, capsys):
-    # Both reports' residuals are rounding noise, far above 1e-18.
+    # Both reports' residuals and the drive's split residual are rounding
+    # noise, far above 1e-18 at this detuning (the drive's decomposition
+    # residual rounds to exactly 0 at some others, deltaL = 0.2 among them).
     cfg = _write(
-        workdir, "mode=equivalence\ndelta=0.05\ndeltaL=0.2\nresidual_tol=1e-18\n"
+        workdir, "mode=equivalence\ndelta=0.05\ndeltaL=0.5\nresidual_tol=1e-18\n"
     )
     assert main([cfg]) == 2
     err = capsys.readouterr().err
     assert "residual violation: res_first_law=" in err
     assert "residual violation: res_decomposition=" in err
+    assert "residual violation: split_residual=" in err
     assert " at delta=0.05" in err
 
 

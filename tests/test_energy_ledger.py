@@ -5,7 +5,7 @@ Before the moment core, ``thermo_report`` and
 ``work_total_and_decomposition`` each built their own integrand arrays
 (seven for the photon, five for the drive).  Those arrays are kept here,
 whole-grid and unchunked, as the reference: every report field must equal
-``np.trapezoid`` of its integrand to rounding.
+the Gregory-corrected trapezoid rule on its integrand to rounding.
 """
 
 from __future__ import annotations
@@ -68,9 +68,21 @@ def _drive_integrands(bt):
     }
 
 
+def _gregory(y, h):
+    """``np.trapezoid`` plus Gregory's corrections on the end differences:
+    h (D/12 - D^2/24 + 19 D^3/720 - 3 D^4/160) of the forward differences
+    D at the left end, h (-B/12 - B^2/24 - 19 B^3/720 - 3 B^4/160) of the
+    backward ones B at the right end."""
+    fwd = [np.diff(y[:5], n)[0] for n in (1, 2, 3, 4)]
+    bwd = [np.diff(y[-5:], n)[-1] for n in (1, 2, 3, 4)]
+    left = fwd[0] / 12.0 - fwd[1] / 24.0 + 19.0 * fwd[2] / 720.0 - 3.0 * fwd[3] / 160.0
+    right = -bwd[0] / 12.0 - bwd[1] / 24.0 - 19.0 * bwd[2] / 720.0 - 3.0 * bwd[3] / 160.0
+    return np.trapezoid(y, dx=h) + h * (left + right)
+
+
 def _assert_rows_match(report, integrands, h):
     for name, y in integrands.items():
-        want = np.trapezoid(y, dx=h)
+        want = _gregory(y, h)
         got = getattr(report, name)
         assert abs(got - want) <= TOL, f"{name}: {got!r} vs {want!r}"
 

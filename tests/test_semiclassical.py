@@ -14,6 +14,10 @@ from photon_work.model import TimeGrid, make_pulse, make_system, uniform_grid
 from photon_work.pulse import envelope_at, normalization
 from photon_work.semiclassical import (
     _CHUNK,
+    HEAD_LENGTH,
+    HEAD_STEP_CAP,
+    _series,
+    head_grid,
     integrate_bloch,
     susceptibility,
     work_absorptive,
@@ -370,3 +374,96 @@ def test_zero_coupling_drive_does_nothing(sys1):
     assert np.all(bt.rho_ee == 0.0) and np.all(bt.rho_eg == 0.0)
     rep = work_total_and_decomposition(bt)
     assert rep.W_alpha == rep.W_reac == rep.W_abs == rep.Q_alpha == 0.0
+
+
+def _head_and_tail(system, pulse):
+    head = integrate_bloch(system, pulse, head_grid(system, pulse))
+    return head, work_total_and_decomposition(head, tail=True)
+
+
+def test_head_grid_length_is_fixed_by_gamma0(sys1):
+    for delta in (0.1, 1e-3):
+        grid = head_grid(sys1, make_pulse(delta, 100.2, sys1), max_step=1e-2)
+        assert grid.spacing == HEAD_STEP_CAP
+        assert HEAD_LENGTH <= grid.tf < HEAD_LENGTH + grid.spacing
+    assert head_grid(sys1, make_pulse(0.01, 100.2, sys1), max_step=5e-4).spacing == 5e-4
+    assert head_grid(sys1, make_pulse(0.01, 140.0, sys1)).spacing == 0.02 / 40.0
+
+
+@pytest.mark.parametrize(
+    "delta,deltaL",
+    [
+        (0.3, 1.0),
+        (0.1, 0.2),
+        (0.1, 0.0),
+        (0.5, 0.0),
+        (0.5, 0.3),
+        (1.0, 0.0),
+        (2.0, 0.5),
+        (0.5 + 1e-9, 0.0),
+        (0.5 - 1e-9, 0.0),
+    ],
+    ids=[
+        "detuned",
+        "narrow-detuned",
+        "resonant-order-10",
+        "resonant-order-2",
+        "order-2-detuned",
+        "resonant-order-1",
+        "broad-detuned",
+        "near-resonant-above",
+        "near-resonant-below",
+    ],
+)
+def test_head_and_tail_match_the_full_cycle_grid(sys1, delta, deltaL):
+    """The head and its series tail against RK4 and the end-corrected
+    trapezoid rule on a full-cycle grid of the same step, at points where
+    a series order k meets a resonance of the recurrence (k delta = gamma0
+    at deltaL = 0, or 2 gamma0) or nearly does.  Every value is finite
+    and the split residual is rounding noise.  The values agree to 1e-10
+    relative: the full grid zeroes the ratio over its last stretch, where
+    |rho_eg|^2 is at or below 1e-12 of its peak, which moves W_reac by
+    2e-11 relative at delta = 0.1, deltaL = 0.2; all else agrees to
+    rounding."""
+    pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
+    _, split = _head_and_tail(sys1, pulse)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=HEAD_STEP_CAP)
+    full = work_total_and_decomposition(integrate_bloch(sys1, pulse, grid))
+    floor = 1e-15 * abs(full.W_abs)
+    for name in ("W_alpha", "W_int", "W_reac", "W_abs", "Q_alpha"):
+        got, want = getattr(split, name), getattr(full, name)
+        assert math.isfinite(got), name
+        assert abs(got - want) <= 1e-10 * abs(want) + floor, (name, got, want)
+    assert abs(split.residual_decomposition) < 1e-12
+    assert split.split_residual < 1e-14
+
+
+@pytest.mark.parametrize("delta,deltaL", [(1.0, 0.0), (2.0, 0.5), (1.0, 3.0)])
+def test_no_tail_where_delta_reaches_gamma0(sys1, delta, deltaL):
+    # The head [0, 80/gamma0] is the whole cycle: the tail adds nothing,
+    # and the split residual is |y(T)| itself, of order T e^{-40} at most.
+    pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
+    head, split = _head_and_tail(sys1, pulse)
+    assert _series(head).shape == (0, 3)
+    alone = work_total_and_decomposition(head)
+    for name in ("W_alpha", "W_int", "W_reac", "W_abs", "Q_alpha"):
+        assert getattr(split, name) == getattr(alone, name)
+    assert alone.split_residual == 0.0
+    assert split.split_residual < 1e-15
+
+
+def test_series_terms_stay_bounded_near_resonance(sys1):
+    # At delta = 0.5 - 1e-9 order 2 sits 1e-9 from the resonance
+    # k delta = gamma0; the series stops before it.
+    pulse = make_pulse(0.5 - 1e-9, 100.0, sys1)
+    head = integrate_bloch(sys1, pulse, head_grid(sys1, pulse))
+    coeffs = _series(head)
+    assert coeffs.shape == (1, 3)
+    assert np.max(np.abs(coeffs)) < 10.0
+
+
+def test_tail_needs_a_full_head(sys1):
+    pulse = make_pulse(0.01, 100.2, sys1)
+    short = integrate_bloch(sys1, pulse, uniform_grid(40.0, 1e-3))
+    with pytest.raises(ValueError, match="tail needs"):
+        work_total_and_decomposition(short, tail=True)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid, integrate_psi
-from photon_work.model import make_pulse, make_system, uniform_grid
-from photon_work.thermo import thermo_report
+from photon_work.model import TimeGrid, make_pulse, make_system, uniform_grid
+from photon_work.thermo import energy_moments, thermo_report
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +152,26 @@ def test_residuals_are_step_independent(delta, deltaL, step):
     assert abs(rep.residual_Q_split) < 1e-10
     assert abs(rep.residual_W_split) < 1e-10
 
+
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("degree", range(6))
+def test_end_corrected_rule_is_exact_on_polynomials(sys1, n, degree):
+    # The population moment of a drive run is integral rho_ee dt: fed a
+    # polynomial, the trapezoid rule with Gregory's corrections through
+    # the fourth differences is exact up to degree 5, cubics included.
+    grid = TimeGrid(n=n, spacing=0.37)
+    t = grid.times()
+    pulse = make_pulse(1.0, 100.0, sys1)
+    m = energy_moments(grid, sys1, pulse, np.zeros(n, complex), population=t**degree)
+    exact = grid.tf ** (degree + 1) / (degree + 1)
+    assert m[1:] == (0.0, 0.0, 0.0)
+    assert abs(m[0] - exact) <= 2e-15 * exact
+
+
+def test_grids_shorter_than_eight_samples_are_refused(sys1):
+    pulse = make_pulse(1.0, 100.0, sys1)
+    with pytest.raises(ValueError, match="at least 8"):
+        energy_moments(TimeGrid(n=7, spacing=0.1), sys1, pulse, np.zeros(7, complex))
+    traj = closed_form_trajectory(sys1, pulse, TimeGrid(n=7, spacing=0.1))
+    with pytest.raises(ValueError, match="at least 8"):
+        thermo_report(traj, allow_partial=True)

@@ -11,7 +11,8 @@ the root of this repository then holds, per workload, the median and the
 interquartile range over the seeds of ``wall_s``, ``cpu_s``,
 ``peak_rss_mb`` and ``setup_s``, the attempted and failed call counts,
 and the machine: CPU count, numpy and scipy versions, whether numba is
-installed, and the tree's git revision.  Nothing is written inside the
+installed, and the tree's git revision with a ``dirty`` flag, true when
+the tree has uncommitted changes.  Nothing is written inside the
 measured tree beyond what ``bench/run.py`` itself creates and removes.
 """
 
@@ -69,6 +70,13 @@ def summarize(results: list) -> dict:
     return out
 
 
+def git(tree: Path, *args: str) -> str:
+    """Stripped stdout of one git command run in ``tree``."""
+    return subprocess.run(
+        ["git", *args], cwd=tree, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
@@ -83,12 +91,11 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: {results[-1]['metrics']['wall_s']['value']:.4g} s",
                   file=sys.stderr)
         workloads[workload] = summarize(results)
-    revision = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True, check=True
-    ).stdout.strip()
     record = {
         "label": args.label,
-        "revision": revision,
+        "revision": git(tree, "rev-parse", "HEAD"),
+        # Uncommitted changes: the measured tree is not ``revision`` itself.
+        "dirty": git(tree, "status", "--porcelain") != "",
         "seeds": list(SEEDS),
         "seconds": SECONDS,
         "nproc": os.cpu_count(),
