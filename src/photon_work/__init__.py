@@ -45,7 +45,6 @@ from .pulse import envelope_at, normalization
 from .semiclassical import (
     BlochTrajectory,
     SemiclassicalReport,
-    head_grid,
     integrate_bloch,
     susceptibility,
     work_absorptive,
@@ -81,7 +80,6 @@ __all__ = [
     "effective_trajectory",
     "envelope_at",
     "full_cycle_grid",
-    "head_grid",
     "init_single_photon",
     "integrate_bloch",
     "integrate_psi",

@@ -12,7 +12,8 @@ The photon's side is grid-free (``thermo.photon_report`` and
 time-domain work decomposition of the Bloch pair driven by the same
 envelope: RK4 on a head [0, 80/gamma0] whose length does not depend on
 the bandwidth, and past it the exact series in the envelope that the
-pair follows once its transient has died out
+pair follows once its transient has died out (for delta > 0.9 gamma0
+the series is empty and the head is the shorter full cycle)
 (``semiclassical.work_total_and_decomposition`` with ``tail=True``).
 In the low-excitation regime the coherence tracks the quantum amplitude
 pointwise, so the paired integrals converge as the bandwidth shrinks.
@@ -114,9 +115,10 @@ def compare_equivalences(
     max_step : float, optional
         Cap on the step of the drive's head (:func:`semiclassical.head_grid`),
         which is at most 1e-3 whatever the cap: Q_alpha's RK4 error needs
-        it.  The head's length is fixed by gamma0 and the series covers
-        the rest of the cycle, so there is no cycle tolerance.  The
-        photon's side has no grid.
+        it.  The head ends at 80/gamma0 and the series covers the rest of
+        the cycle; where the series has no terms (delta > 0.9 gamma0) the
+        head is the cycle at the default tolerance.  There is no cycle
+        tolerance to set.  The photon's side has no grid.
     """
     rep = photon_report(system, pulse)
     max_pop_q = peak_population(system, pulse)

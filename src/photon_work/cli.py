@@ -6,7 +6,9 @@ One config describes one run mode:
     detuning_scan   thermo functionals over a laser-detuning sweep (grid-free;
                     step and cycle_tol have no effect)
     bandwidth_scan  quantum/semiclassical comparison over bandwidths (the
-                    drive's head has a fixed length: cycle_tol has no effect)
+                    drive's head ends at 80/gamma0, or at the full-cycle
+                    horizon of the default tolerance where delta > 0.9
+                    gamma0: cycle_tol has no effect)
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
                     sampled at the requested step

@@ -33,8 +33,9 @@ e^{-40} past T.  There y = y_p, and the tail's moments over [T, inf)
 follow from integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series
 stops before the orders near resonance (k delta = gamma0 at deltaL = 0,
 or 2 gamma0); where delta > 0.9 gamma0 it is empty and the head is the
-whole cycle.  The split residual |y_RK4(T) - y_p(T)| measures the
-transient left at T plus the head's error.
+whole cycle, which ends at the full-cycle horizon, before T.  The split
+residual |y_RK4(T) - y_p(T)| measures the transient left at T plus the
+head's error.
 
 The work received from the drive, W_alpha = integral Tr[rho_s dH/dt] dt,
 splits exactly into three pieces by writing rho_eg = R e^{i theta}:
@@ -70,6 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import full_cycle_grid
 from .model import (
     PulseParams,
     SystemParams,
@@ -292,17 +294,26 @@ def integrate_bloch(
 def head_grid(
     system: SystemParams, pulse: PulseParams, max_step: float | None = None
 ) -> TimeGrid:
-    """Grid on [0, HEAD_LENGTH / gamma0] for the head of a drive run.
+    """Grid of the head of a drive run.
 
     The spacing is ``min(max_step, HEAD_STEP_CAP, 0.02 / rate)``; unset,
-    the cap is ``HEAD_STEP_CAP``.  The length does not depend on the
-    bandwidth: :func:`work_total_and_decomposition` with ``tail=True``
-    covers the rest of the cycle with an exact series.
+    the cap is ``HEAD_STEP_CAP``.  Where the series has terms (delta at
+    most 0.9 gamma0) the grid is [0, HEAD_LENGTH / gamma0] whatever the
+    bandwidth, and :func:`work_total_and_decomposition` with ``tail=True``
+    covers the rest of the cycle.  Otherwise the head is the whole cycle,
+    and it ends at the full-cycle horizon of ``dynamics.full_cycle_grid``
+    (its default tolerance) where that comes before HEAD_LENGTH / gamma0.
     """
     cap = HEAD_STEP_CAP if max_step is None else min(max_step, HEAD_STEP_CAP)
-    return uniform_grid(
-        HEAD_LENGTH / system.gamma0, default_step(rate_scale(system, pulse), cap)
-    )
+    length = HEAD_LENGTH / system.gamma0
+    if not _has_series(system, pulse):
+        length = min(length, full_cycle_grid(system, pulse, max_step=cap).tf)
+    return uniform_grid(length, default_step(rate_scale(system, pulse), cap))
+
+
+def _has_series(system: SystemParams, pulse: PulseParams) -> bool:
+    """Whether the series of the module docstring keeps any order."""
+    return pulse.delta <= _ORDER_LIMIT * system.gamma0
 
 
 def _series(traj: BlochTrajectory) -> np.ndarray:
@@ -459,12 +470,16 @@ def work_total_and_decomposition(
     system and the pulse are read from ``traj``, so they are always those
     it was integrated with.
 
-    With ``tail``, ``traj`` is the head of the run (at least
-    ``HEAD_LENGTH / gamma0`` long, :func:`head_grid`) and the series of
-    the module docstring adds the moments of [T, inf); ``split_residual``
-    is then |y_RK4(T) - y_p(T)|, the transient left at T plus the head's
-    error (0 without a tail).  The series must start below the head's
-    largest rho_ee, so that the head holds the run's peak population.
+    With ``tail``, ``traj`` is the head of the run (:func:`head_grid`).
+    Where the series has terms, the head is at least ``HEAD_LENGTH /
+    gamma0`` long and the series of the module docstring adds the moments
+    of [T, inf); ``split_residual`` is then |y_RK4(T) - y_p(T)|, the
+    transient left at T plus the head's error.  The series must start
+    below the head's largest rho_ee, so that the head holds the run's
+    peak population.  Where it has none (delta > 0.9 gamma0), the head
+    must be a full cycle, as without a tail.  ``split_residual`` is 0
+    without a tail.  ``allow_partial`` accepts a grid that ends before
+    the emitter has re-radiated; it cannot be combined with ``tail``.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
@@ -472,7 +487,9 @@ def work_total_and_decomposition(
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
 
-    if tail:
+    if tail and allow_partial:
+        raise ValueError("allow_partial cannot be combined with tail: a head is never partial")
+    if tail and _has_series(traj.system, traj.pulse):
         extra, split = _tail(traj)
     else:
         check_full_cycle(float(traj.rho_ee[-1]), allow_partial)

@@ -440,16 +440,25 @@ def test_head_and_tail_match_the_full_cycle_grid(sys1, delta, deltaL):
 
 @pytest.mark.parametrize("delta,deltaL", [(1.0, 0.0), (2.0, 0.5), (1.0, 3.0)])
 def test_no_tail_where_delta_reaches_gamma0(sys1, delta, deltaL):
-    # The head [0, 80/gamma0] is the whole cycle: the tail adds nothing,
-    # and the split residual is |y(T)| itself, of order T e^{-40} at most.
+    # The head is the whole cycle and ends at its own horizon, before
+    # 80/gamma0: the tail adds nothing and there is no split.
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     head, split = _head_and_tail(sys1, pulse)
     assert _series(head).shape == (0, 3)
+    horizon = full_cycle_grid(sys1, pulse, max_step=HEAD_STEP_CAP)
+    assert head.grid.tf == horizon.tf < HEAD_LENGTH
+    assert head.grid.spacing == horizon.spacing
     alone = work_total_and_decomposition(head)
     for name in ("W_alpha", "W_int", "W_reac", "W_abs", "Q_alpha"):
         assert getattr(split, name) == getattr(alone, name)
-    assert alone.split_residual == 0.0
-    assert split.split_residual < 1e-15
+    assert alone.split_residual == split.split_residual == 0.0
+
+
+def test_tail_refuses_allow_partial(sys1):
+    pulse = make_pulse(0.1, 100.2, sys1)
+    head = integrate_bloch(sys1, pulse, head_grid(sys1, pulse, max_step=1e-2))
+    with pytest.raises(ValueError, match="allow_partial cannot be combined with tail"):
+        work_total_and_decomposition(head, allow_partial=True, tail=True)
 
 
 def test_series_terms_stay_bounded_near_resonance(sys1):
