@@ -10,11 +10,9 @@ coherent-drive counterpart in the narrowband low-excitation regime:
 The photon's side is grid-free (``thermo.photon_report`` and
 ``dynamics.peak_population``).  All three drive-side values come from the
 time-domain work decomposition of the Bloch pair driven by the same
-envelope: RK4 on a head [0, 80/gamma0] whose length does not depend on
-the bandwidth, and past it the exact series in the envelope that the
-pair follows once its transient has died out (for delta > 0.9 gamma0
-the series is empty and the head is the shorter full cycle)
-(``semiclassical.work_total_and_decomposition`` with ``tail=True``).
+envelope (``semiclassical.work_total_and_decomposition``): RK4 on the
+full cycle cut at 80/gamma0, and past the cut the exact series in the
+envelope that the pair follows once its transient has died out.
 In the low-excitation regime the coherence tracks the quantum amplitude
 pointwise, so the paired integrals converge as the bandwidth shrinks.
 (The frequency domain quadratures in the semiclassical module target the
@@ -115,17 +113,16 @@ def compare_equivalences(
     max_step : float, optional
         Cap on the step of the drive's head (:func:`semiclassical.head_grid`),
         which is at most 1e-3 whatever the cap: Q_alpha's RK4 error needs
-        it.  The head ends at 80/gamma0 and the series covers the rest of
-        the cycle; where the series has no terms (delta > 0.9 gamma0) the
-        head is the cycle at the default tolerance.  There is no cycle
-        tolerance to set.  The photon's side has no grid.
+        it.  The head is the cycle at the default tolerance cut at
+        80/gamma0, and the series covers the rest of a cut cycle.  There
+        is no cycle tolerance to set.  The photon's side has no grid.
     """
     rep = photon_report(system, pulse)
     max_pop_q = peak_population(system, pulse)
 
     btraj = integrate_bloch(system, pulse, head_grid(system, pulse, max_step))
-    srep = work_total_and_decomposition(btraj, tail=True)
-    # The series starts below the head's peak (checked with the tail).
+    srep = work_total_and_decomposition(btraj)
+    # A tail's series starts below the head's peak (checked with the tail).
     max_pop_s = float(np.max(btraj.rho_ee))
     del btraj
 

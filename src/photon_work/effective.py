@@ -53,8 +53,7 @@ class EffectiveTrajectory:
     pop : ndarray
         Excited-state population ``|psi(t_k)|^2``.
     valid_mask : ndarray
-        Boolean mask, True where ``pop > DEFAULT_ETA * max(pop)``, the
-        guard of the ratio term in ``thermo.energy_moments``.
+        Boolean mask, True where ``pop > DEFAULT_ETA * max(pop)``.
     """
 
     delta_eff: np.ndarray

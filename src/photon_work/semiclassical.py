@@ -16,10 +16,11 @@ numpy and composes them by a blocked two-level prefix scan (Blelloch,
 last state into the next chunk.  It is the RK4 arithmetic in another
 order, so results agree with step-by-step RK4 to rounding, not bitwise.
 
-A drive run needs RK4 only on a head [0, T], T = 80/gamma0
-(:func:`head_grid`).  In the laser frame sigma = s e^{i deltaL t}, with
-x = e^{-delta t/2} and F = g alpha~(0), the pair reads
-y' = L y + F x (M y + e) for y = (Re sigma, Im sigma, rho_ee), with
+A drive run needs RK4 only on a head: the full-cycle grid cut at
+T = 80/gamma0 (:func:`head_grid`).  In the laser frame
+sigma = s e^{i deltaL t}, with x = e^{-delta t/2} and F = g alpha~(0),
+the pair reads y' = L y + F x (M y + e) for
+y = (Re sigma, Im sigma, rho_ee), with
 L = [[-gamma0/2, -deltaL, 0], [deltaL, -gamma0/2, 0], [0, 0, -gamma0]],
 M = [[0, 0, 2], [0, 0, 0], [-2, 0, 0]] and e = (-1, 0, 0).  The pulse
 enters only through x, and a particular solution is the series
@@ -32,10 +33,10 @@ y' = (L + F x M) y; M is antisymmetric and L's symmetric part is at most
 e^{-40} past T.  There y = y_p, and the tail's moments over [T, inf)
 follow from integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series
 stops before the orders near resonance (k delta = gamma0 at deltaL = 0,
-or 2 gamma0); where delta > 0.9 gamma0 it is empty and the head is the
-whole cycle, which ends at the full-cycle horizon, before T.  The split
-residual |y_RK4(T) - y_p(T)| measures the transient left at T plus the
-head's error.
+or 2 gamma0); where delta > 0.9 gamma0 it is empty.  A head that ends
+before T is a whole cycle and has no tail.  The split residual
+|y_RK4(T) - y_p(T)| measures the transient left at T plus the head's
+error.
 
 The work received from the drive, W_alpha = integral Tr[rho_s dH/dt] dt,
 splits exactly into three pieces by writing rho_eg = R e^{i theta}:
@@ -49,10 +50,10 @@ frequency.  The split is algebraic and valid for the full nonlinear
 motion.  Each piece, and the heat Q_alpha = -gamma0 integral (omega0
 rho_ee + <H_int>/2) dt, is one coefficient row on the moments of
 ``thermo.energy_moments`` (u = alpha rho_eg*, occ = 1 - 2 rho_ee), plus
-those of the tail on a head.  W_reac, W_abs and Q_alpha are the photon's
-W1_reac, Q1_abs and Q1_em rows (``thermo.shared_rows``); W_alpha has a
-row of its own, so the residual compares independently written rows and
-is rounding noise.
+those of the tail where the grid reaches T.  W_reac, W_abs and Q_alpha
+are the photon's W1_reac, Q1_abs and Q1_em rows (``thermo.shared_rows``);
+W_alpha has a row of its own, so the residual compares independently
+written rows and is rounding noise.
 
 Linear response: the susceptibility of the dipole is a single Lorentzian
 
@@ -77,15 +78,12 @@ from .model import (
     SystemParams,
     TimeGrid,
     check_step,
-    default_step,
-    rate_scale,
     uniform_grid,
 )
 from .pulse import envelope_at, normalization
 from .thermo import (
     check_full_cycle,
     energy_moments,
-    ratio_floor,
     ratio_integrand,
     row_value,
     shared_rows,
@@ -294,26 +292,19 @@ def integrate_bloch(
 def head_grid(
     system: SystemParams, pulse: PulseParams, max_step: float | None = None
 ) -> TimeGrid:
-    """Grid of the head of a drive run.
+    """Grid of the head of a drive run: the full-cycle grid of
+    ``dynamics.full_cycle_grid`` (its default tolerance) cut at
+    ``HEAD_LENGTH / gamma0``.
 
     The spacing is ``min(max_step, HEAD_STEP_CAP, 0.02 / rate)``; unset,
-    the cap is ``HEAD_STEP_CAP``.  Where the series has terms (delta at
-    most 0.9 gamma0) the grid is [0, HEAD_LENGTH / gamma0] whatever the
-    bandwidth, and :func:`work_total_and_decomposition` with ``tail=True``
-    covers the rest of the cycle.  Otherwise the head is the whole cycle,
-    and it ends at the full-cycle horizon of ``dynamics.full_cycle_grid``
-    (its default tolerance) where that comes before HEAD_LENGTH / gamma0.
+    the cap is ``HEAD_STEP_CAP``.  A cut grid ends at HEAD_LENGTH /
+    gamma0 whatever the bandwidth, and :func:`work_total_and_decomposition`
+    adds the series tail for the rest of the cycle; an uncut one is the
+    whole cycle.
     """
     cap = HEAD_STEP_CAP if max_step is None else min(max_step, HEAD_STEP_CAP)
-    length = HEAD_LENGTH / system.gamma0
-    if not _has_series(system, pulse):
-        length = min(length, full_cycle_grid(system, pulse, max_step=cap).tf)
-    return uniform_grid(length, default_step(rate_scale(system, pulse), cap))
-
-
-def _has_series(system: SystemParams, pulse: PulseParams) -> bool:
-    """Whether the series of the module docstring keeps any order."""
-    return pulse.delta <= _ORDER_LIMIT * system.gamma0
+    cycle = full_cycle_grid(system, pulse, max_step=cap)
+    return uniform_grid(min(HEAD_LENGTH / system.gamma0, cycle.tf), cycle.spacing)
 
 
 def _series(traj: BlochTrajectory) -> np.ndarray:
@@ -364,18 +355,12 @@ def _tail(traj: BlochTrajectory) -> tuple:
     With u = alpha rho_eg* = N x conj(sigma) and dt = -2 dx / (delta x),
     the three linear moments are exact sums of integral_T^inf x^k dt =
     2 x_T^k / (k delta).  The ratio moment is a Gauss-Legendre sum over
-    x in [0, x_T], its integrand smooth there, with the ratio zeroed at
-    the nodes where |sigma|^2 is at or below the head's
-    ``thermo.ratio_floor``, as ``energy_moments`` zeroes it at samples.
+    x in [0, x_T], its integrand smooth there, with the ratio as defined
+    (``thermo.ratio_integrand``), as ``energy_moments`` forms it at samples.
     """
     from numpy.polynomial.legendre import leggauss
 
     t_end = traj.grid.tf
-    if t_end * traj.system.gamma0 < HEAD_LENGTH * (1.0 - 1e-12):
-        raise ValueError(
-            f"head ends at {t_end:g}: the tail needs at least "
-            f"{HEAD_LENGTH:g}/gamma0 (head_grid)"
-        )
     delta = traj.pulse.delta
     x_end = math.exp(-0.5 * delta * t_end)
     coeffs = _series(traj)
@@ -393,8 +378,7 @@ def _tail(traj: BlochTrajectory) -> tuple:
     x = 0.5 * x_end * (nodes + 1.0)
     y = _series_state(coeffs, x)
     u = n_amp * x * (y[0] - 1j * y[1])
-    floor = ratio_floor(np.abs(traj.rho_eg) ** 2)
-    r = ratio_integrand(u, y[0] ** 2 + y[1] ** 2, floor, y[2])
+    r = ratio_integrand(u, y[0] ** 2 + y[1] ** 2, y[2])
     moments = (
         float(coeffs[:, 2] @ by_k),
         n_amp * float(coeffs[:, 0] @ by_k1),
@@ -458,7 +442,7 @@ def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
 
 
 def work_total_and_decomposition(
-    traj: BlochTrajectory, allow_partial: bool = False, tail: bool = False
+    traj: BlochTrajectory, allow_partial: bool = False
 ) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
@@ -470,16 +454,15 @@ def work_total_and_decomposition(
     system and the pulse are read from ``traj``, so they are always those
     it was integrated with.
 
-    With ``tail``, ``traj`` is the head of the run (:func:`head_grid`).
-    Where the series has terms, the head is at least ``HEAD_LENGTH /
-    gamma0`` long and the series of the module docstring adds the moments
-    of [T, inf); ``split_residual`` is then |y_RK4(T) - y_p(T)|, the
-    transient left at T plus the head's error.  The series must start
-    below the head's largest rho_ee, so that the head holds the run's
-    peak population.  Where it has none (delta > 0.9 gamma0), the head
-    must be a full cycle, as without a tail.  ``split_residual`` is 0
-    without a tail.  ``allow_partial`` accepts a grid that ends before
-    the emitter has re-radiated; it cannot be combined with ``tail``.
+    A grid that reaches ``HEAD_LENGTH / gamma0`` (such as a cut
+    :func:`head_grid`) is a head: the series of the module docstring adds
+    the moments of [T, inf), T the grid's end, and ``split_residual`` is
+    |y_RK4(T) - y_p(T)|, the transient left at T plus the head's error.
+    The series must start below the head's largest rho_ee, so that the
+    head holds the run's peak population; for delta > 0.9 gamma0 it is
+    empty.  A shorter grid must be a full cycle unless ``allow_partial``
+    accepts one that ends before the emitter has re-radiated;
+    ``split_residual`` is then 0.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
@@ -487,9 +470,7 @@ def work_total_and_decomposition(
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
 
-    if tail and allow_partial:
-        raise ValueError("allow_partial cannot be combined with tail: a head is never partial")
-    if tail and _has_series(traj.system, traj.pulse):
+    if traj.grid.tf * gamma0 >= HEAD_LENGTH * (1.0 - 1e-12):
         extra, split = _tail(traj)
     else:
         check_full_cycle(float(traj.rho_ee[-1]), allow_partial)

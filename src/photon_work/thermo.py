@@ -20,7 +20,7 @@ for delta <= gamma0 and another for delta > gamma0), and
     p    population             |psi|^2      rho_ee
     u    drive times coherence  phi psi*     alpha rho_eg*
     occ  occupation factor      1            1 - 2 rho_ee
-    r    Re u Im u / |coherence|^2, 0 where |coherence|^2 <= DEFAULT_ETA max
+    r    Re u Im u / |coherence|^2, 0 where |coherence|^2 = 0
 
 Each value is one coefficient row on m (g the coupling).  The first three
 rows serve both reports (:func:`shared_rows`): the photon to
@@ -42,9 +42,8 @@ The photon rows follow from dp/dt = -gamma0 p - 2 g Re z, d<H_int>/dt =
 is a sum of other rows, so the first-law and split residuals compare
 independently written rows; every rule being linear, they sit at
 rounding level for any step size.  The ratio r is bounded by
-|phi|^2 / 2 and tends to 0 at psi -> 0; its guard enters every row
-through one moment, so it never perturbs the residuals, and its
-contribution to the values is below the cycle-tolerance tail level.
+|phi|^2 / 2, so it needs no guard: it is integrated as defined, and set
+to 0 only where the coherence is exactly 0 (at t = 0, or with g = 0).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .effective import DEFAULT_ETA
 from .model import PulseParams, SystemParams, TimeGrid
 from .pulse import envelope_at, normalization
 from .special import digamma_divided_difference
@@ -105,18 +103,11 @@ class ThermoReport:
     residual_W_split: float
 
 
-def ratio_floor(mod2) -> float:
-    """The level at or below which ``|coherence|^2`` zeroes the ratio r:
-    ``DEFAULT_ETA`` times the largest of ``mod2``, the run's |coherence|^2."""
-    return DEFAULT_ETA * float(np.max(mod2))
-
-
-def ratio_integrand(u, mod2, floor, population=None):
+def ratio_integrand(u, mod2, population=None):
     """occ r = occ Re u Im u / mod2, zero where ``mod2`` (|coherence|^2) is
-    at or below ``floor``; occ = 1 - 2 ``population``, or 1 for the
-    photon (None)."""
+    0; occ = 1 - 2 ``population``, or 1 for the photon (None)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(mod2 > floor, u.real * u.imag / mod2, 0.0)
+        r = np.where(mod2 > 0.0, u.real * u.imag / mod2, 0.0)
     if population is not None:
         r *= 1.0 - 2.0 * population
     return r
@@ -150,19 +141,18 @@ def energy_moments(
             f"grid of {n} samples: the end corrections need at least "
             f"{GREGORY_MIN_SAMPLES}"
         )
-    mod2 = np.abs(coherence) ** 2
-    floor = ratio_floor(mod2)
 
     def integrands(sel, t):
         # Bound to a name before the product: numpy would otherwise write
         # the product into this temporary's buffer, and that in-place loop
         # can round differently in the last bit.
         d = amplitude_scale * envelope_at(system, pulse, t)
-        u = d * np.conj(coherence[sel])
-        m = mod2[sel]
+        c = coherence[sel]
+        u = d * np.conj(c)
+        m = np.abs(c) ** 2
         pop = None if population is None else population[sel]
         p = m if pop is None else pop
-        return p, u.real, u.imag, ratio_integrand(u, m, floor, pop)
+        return p, u.real, u.imag, ratio_integrand(u, m, pop)
 
     sums = [0.0] * 4
     for lo in range(0, n - 1, _CHUNK):
@@ -215,8 +205,7 @@ def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
     digamma's asymptotic series), which keeps its digits where the two
     values nearly agree.  For Re d < 0 (delta > gamma0),
     X / conj X = e^{2 i deltaL t} exprel(d t) / exprel(conj(d) t) gives
-    I(delta, d) = I(delta - 2 i deltaL, -d).  The ratio is not guarded:
-    the integral is that of the definition.
+    I(delta, d) = I(delta - 2 i deltaL, -d).
     """
     a = 0.5 * system.gamma0
     beta = 0.5 * pulse.delta
