@@ -466,7 +466,7 @@ def _dop853_reactive_work(system, pulse):
 def test_reactive_work_meets_a_tight_dop853_run(sys1, delta, deltaL):
     # A head with a series tail at (0.3, 1) and (0.5, 0.3), a whole cycle
     # at (1, 0.2).  Zeroing the ratio where |rho_eg|^2 sat at or below
-    # 1e-12 of its peak put W_reac 2.6e-12 to 5.5e-12 off at these points.
+    # 1e-12 of its peak put W_reac 2.5e-12 to 5.5e-12 off at these points.
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     got = compare_equivalences(sys1, pulse).drive.W_reac
     want = _dop853_reactive_work(sys1, pulse)
