@@ -15,9 +15,9 @@ full cycle cut at 80/gamma0, and past the cut the exact series in the
 envelope that the pair follows once its transient has died out.
 In the low-excitation regime the coherence tracks the quantum amplitude
 pointwise, so the paired integrals converge as the bandwidth shrinks.
-(The frequency domain quadratures in the semiclassical module target the
-quasi-steady tail only and drop a turn-on transient of the same order,
-so they are not used for the reactive pair.)
+(The semiclassical module's linear-response ``work_reactive`` and
+``work_absorptive`` are closed forms, overlaps of the susceptibility with
+the pulse spectrum; neither pair uses them.)
 
 Relative errors use the larger magnitude as denominator with an absolute
 floor, since both members of the first pair vanish at zero detuning.
@@ -99,28 +99,18 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), REL_ERR_FLOOR)
 
 
-def compare_equivalences(
-    system: SystemParams,
-    pulse: PulseParams,
-    max_step: float | None = None,
-) -> EquivalenceReport:
+def compare_equivalences(system: SystemParams, pulse: PulseParams) -> EquivalenceReport:
     """Run both pipelines over a full cycle and compare the three pairs.
 
-    Parameters
-    ----------
-    system : SystemParams
-    pulse : PulseParams
-    max_step : float, optional
-        Cap on the step of the drive's head (:func:`semiclassical.head_grid`),
-        which is at most 1e-3 whatever the cap: Q_alpha's RK4 error needs
-        it.  The head is the cycle at the default tolerance cut at
-        80/gamma0, and the series covers the rest of a cut cycle.  There
-        is no cycle tolerance to set.  The photon's side has no grid.
+    The drive runs RK4 on :func:`semiclassical.head_grid`, the cycle at
+    the library's default tolerance and step cut at 80/gamma0, and the
+    series covers the rest of a cut cycle; the photon's side has no grid.
+    Neither side takes a setting.
     """
     rep = photon_report(system, pulse)
     max_pop_q = peak_population(system, pulse)
 
-    btraj = integrate_bloch(system, pulse, head_grid(system, pulse, max_step))
+    btraj = integrate_bloch(system, pulse, head_grid(system, pulse))
     srep = work_total_and_decomposition(btraj)
     # A tail's series starts below the head's peak (checked with the tail).
     max_pop_s = float(np.max(btraj.rho_ee))

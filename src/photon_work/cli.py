@@ -8,7 +8,8 @@ One config describes one run mode:
     bandwidth_scan  quantum/semiclassical comparison over bandwidths (the
                     drive's head ends at 80/gamma0, or at the full-cycle
                     horizon of the default tolerance where delta > 0.9
-                    gamma0: cycle_tol has no effect)
+                    gamma0, at the default step: step and cycle_tol have
+                    no effect)
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
                     sampled at the requested step
@@ -323,7 +324,7 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
     columns: dict = {}
     violations = []
     for d in deltas:
-        rep = compare_equivalences(system, _pulse(config, system, d), max_step=config.step)
+        rep = compare_equivalences(system, _pulse(config, system, d))
         row = {
             "delta": d,
             "w1": rep.photon.W1,
@@ -449,15 +450,6 @@ def main(argv=None) -> int:
         "config", help="path to a key=value config file, or '-' for stdin"
     )
     parser.add_argument("--out", help="output path prefix (overrides config)")
-    parser.add_argument(
-        "--step", type=float, help="grid step cap (overrides config)"
-    )
-    parser.add_argument(
-        "--cycle-tol",
-        type=float,
-        dest="cycle_tol",
-        help="full-cycle population tolerance (overrides config)",
-    )
     args = parser.parse_args(argv)
     try:
         if args.config == "-":
@@ -465,14 +457,9 @@ def main(argv=None) -> int:
         else:
             text = Path(args.config).read_text()
         config = parse_config(text)
-        overrides = {
-            key: val
-            for key in ("out", "step", "cycle_tol")
-            if (val := getattr(args, key)) is not None
-        }
-        for key, val in overrides.items():
-            _check_range(key, val)
-        return run(replace(config, **overrides))
+        if args.out is not None:
+            config = replace(config, out=args.out)
+        return run(config)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -135,8 +135,6 @@ class SemiclassicalReport:
 # Head length in units of 1/gamma0: past it the Bloch transient, which
 # falls at least as fast as e^{-gamma0 t/2}, is below e^{-40}.
 HEAD_LENGTH = 80.0
-# Cap on the head's step: Q_alpha's RK4 error on the head needs 1e-3.
-HEAD_STEP_CAP = 1e-3
 # The series keeps the orders k with k delta <= _ORDER_LIMIT gamma0.  The
 # first order that can be resonant has k delta = gamma0; every dropped
 # order carries x_T^k <= e^{-36}.
@@ -289,21 +287,17 @@ def integrate_bloch(
     )
 
 
-def head_grid(
-    system: SystemParams, pulse: PulseParams, max_step: float | None = None
-) -> TimeGrid:
-    """Grid of the head of a drive run: the full-cycle grid of
-    ``dynamics.full_cycle_grid`` (its default tolerance) cut at
-    ``HEAD_LENGTH / gamma0``.
+def head_grid(system: SystemParams, pulse: PulseParams) -> TimeGrid:
+    """Grid of the head of a drive run: ``dynamics.full_cycle_grid`` at
+    its defaults cut at ``HEAD_LENGTH / gamma0``.
 
-    The spacing is ``min(max_step, HEAD_STEP_CAP, 0.02 / rate)``; unset,
-    the cap is ``HEAD_STEP_CAP``.  A cut grid ends at HEAD_LENGTH /
-    gamma0 whatever the bandwidth, and :func:`work_total_and_decomposition`
-    adds the series tail for the rest of the cycle; an uncut one is the
-    whole cycle.
+    The spacing is the library's default ``min(1e-3, 0.02 / rate)``: the
+    head relies on that 1e-3 cap, since Q_alpha's RK4 error on the head
+    needs it.  A cut grid ends at HEAD_LENGTH / gamma0 whatever the
+    bandwidth, and :func:`work_total_and_decomposition` adds the series
+    tail for the rest of the cycle; an uncut one is the whole cycle.
     """
-    cap = HEAD_STEP_CAP if max_step is None else min(max_step, HEAD_STEP_CAP)
-    cycle = full_cycle_grid(system, pulse, max_step=cap)
+    cycle = full_cycle_grid(system, pulse)
     return uniform_grid(min(HEAD_LENGTH / system.gamma0, cycle.tf), cycle.spacing)
 
 
@@ -441,9 +435,7 @@ def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     return pulse.omegaL * 2.0 * system.g * _spectral_overlaps(system, pulse)[1]
 
 
-def work_total_and_decomposition(
-    traj: BlochTrajectory, allow_partial: bool = False
-) -> SemiclassicalReport:
+def work_total_and_decomposition(traj: BlochTrajectory) -> SemiclassicalReport:
     """Drive work W_alpha, its exact three-way split, and the heat.
 
     All five functionals are coefficient rows on the trajectory's
@@ -460,9 +452,8 @@ def work_total_and_decomposition(
     |y_RK4(T) - y_p(T)|, the transient left at T plus the head's error.
     The series must start below the head's largest rho_ee, so that the
     head holds the run's peak population; for delta > 0.9 gamma0 it is
-    empty.  A shorter grid must be a full cycle unless ``allow_partial``
-    accepts one that ends before the emitter has re-radiated;
-    ``split_residual`` is then 0.
+    empty.  A shorter grid must be a full cycle; ``split_residual`` is
+    then 0.
     """
     gamma0 = traj.system.gamma0
     omega0 = traj.system.omega0
@@ -473,7 +464,7 @@ def work_total_and_decomposition(
     if traj.grid.tf * gamma0 >= HEAD_LENGTH * (1.0 - 1e-12):
         extra, split = _tail(traj)
     else:
-        check_full_cycle(float(traj.rho_ee[-1]), allow_partial)
+        check_full_cycle(float(traj.rho_ee[-1]), "(head_grid or full_cycle_grid)")
         extra, split = (0.0,) * 4, 0.0
     head = energy_moments(
         traj.grid,

@@ -242,14 +242,14 @@ def shared_rows(system: SystemParams) -> tuple:
     return reactive, absorptive, emission
 
 
-def check_full_cycle(pop_end: float, allow_partial: bool) -> None:
-    """Refuse a grid whose end population leaves boundary terms behind,
-    unless the caller accepts a partial cycle."""
-    if not allow_partial and pop_end > FULL_CYCLE_POP:
+def check_full_cycle(pop_end: float, remedy: str) -> None:
+    """Refuse a grid whose end population leaves boundary terms behind;
+    ``remedy`` ends the message after "extend the grid"."""
+    if pop_end > FULL_CYCLE_POP:
         raise ValueError(
             "boundary terms not negligible: end population "
             f"{pop_end:.3e} exceeds {FULL_CYCLE_POP:.0e}; extend the "
-            "grid (full_cycle_grid) or pass allow_partial=True"
+            f"grid {remedy}"
         )
 
 
@@ -297,7 +297,11 @@ def thermo_report(
         Accept a grid whose end population exceeds ``FULL_CYCLE_POP``
         (boundary terms are then part of the reported values).
     """
-    check_full_cycle(float(np.abs(traj.psi[-1]) ** 2), allow_partial)
+    if not allow_partial:
+        check_full_cycle(
+            float(np.abs(traj.psi[-1]) ** 2),
+            "(full_cycle_grid) or pass allow_partial=True",
+        )
     m = energy_moments(traj.grid, traj.system, traj.pulse, traj.psi)
     return _ledger(traj.system, traj.pulse, m)
 

@@ -118,9 +118,8 @@ def test_scan_points_are_photon_reports(sys1):
 
 
 def test_equivalence_photon_side_is_grid_free(sys1):
-    # The drive's step (5e-4, finer than its default 1e-3) leaves the
-    # photon's side alone.
+    # The drive's head grid leaves the photon's side alone.
     pulse = make_pulse(0.1, 100.2, sys1)
-    rep = compare_equivalences(sys1, pulse, max_step=5e-4)
+    rep = compare_equivalences(sys1, pulse)
     assert rep.photon == photon_report(sys1, pulse)
     assert rep.regime.max_pop_quantum == peak_population(sys1, pulse)

@@ -17,7 +17,6 @@ from photon_work.pulse import envelope_at, normalization
 from photon_work.semiclassical import (
     _CHUNK,
     HEAD_LENGTH,
-    HEAD_STEP_CAP,
     _series,
     head_grid,
     integrate_bloch,
@@ -385,10 +384,9 @@ def _head_and_tail(system, pulse):
 
 def test_head_grid_length_is_fixed_by_gamma0(sys1):
     for delta in (0.1, 1e-3):
-        grid = head_grid(sys1, make_pulse(delta, 100.2, sys1), max_step=1e-2)
-        assert grid.spacing == HEAD_STEP_CAP
+        grid = head_grid(sys1, make_pulse(delta, 100.2, sys1))
+        assert grid.spacing == 1e-3
         assert HEAD_LENGTH <= grid.tf < HEAD_LENGTH + grid.spacing
-    assert head_grid(sys1, make_pulse(0.01, 100.2, sys1), max_step=5e-4).spacing == 5e-4
     assert head_grid(sys1, make_pulse(0.01, 140.0, sys1)).spacing == 0.02 / 40.0
 
 
@@ -426,7 +424,7 @@ def test_head_and_tail_match_the_full_cycle_grid(sys1, delta, deltaL):
     1e-12 relative."""
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     _, split = _head_and_tail(sys1, pulse)
-    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=HEAD_STEP_CAP)
+    grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12)
     full = work_total_and_decomposition(integrate_bloch(sys1, pulse, grid))
     floor = 1e-16 * abs(full.W_abs)
     for name in ("W_alpha", "W_int", "W_reac", "W_abs", "Q_alpha"):
@@ -480,7 +478,7 @@ def test_no_tail_where_delta_reaches_gamma0(sys1, delta, deltaL):
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     head, split = _head_and_tail(sys1, pulse)
     assert _series(head).shape == (0, 3)
-    horizon = full_cycle_grid(sys1, pulse, max_step=HEAD_STEP_CAP)
+    horizon = full_cycle_grid(sys1, pulse)
     assert head.grid.tf == horizon.tf < HEAD_LENGTH
     assert head.grid.spacing == horizon.spacing
     assert split.split_residual == 0.0
@@ -501,5 +499,7 @@ def test_tail_needs_a_full_head(sys1):
     # whole cycle, and at delta = 0.01 a 40/gamma0 grid is not.
     pulse = make_pulse(0.01, 100.2, sys1)
     short = integrate_bloch(sys1, pulse, uniform_grid(40.0, 1e-3))
-    with pytest.raises(ValueError, match="boundary terms not negligible"):
+    with pytest.raises(ValueError, match="boundary terms not negligible") as excinfo:
         work_total_and_decomposition(short)
+    assert "head_grid or full_cycle_grid" in str(excinfo.value)
+    assert "allow_partial" not in str(excinfo.value)
