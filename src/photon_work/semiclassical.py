@@ -9,12 +9,19 @@ pair (rotating frame at omega0, s = rho_eg e^{i omega0 t}):
 
 The pair is linear in y = (Re s, Im s, rho_ee) with a known drive,
 y' = A(t) y + b(t), so one classic RK4 step is exactly an affine map
-y -> P y + q built from the drive at t, t + h/2 and t + h.
-``integrate_bloch`` builds the maps of a fixed-size chunk of steps with
-numpy and composes them by a blocked two-level prefix scan (Blelloch,
-"Prefix Sums and Their Applications", CMU-CS-90-190, 1990), carrying the
-last state into the next chunk.  It is the RK4 arithmetic in another
-order, so results agree with step-by-step RK4 to rounding, not bitwise.
+y -> P y + q built from the drive at t, t + h/2 and t + h.  With
+u = 2 g alpha~ = a e^{i theta}, step k's drive there is
+u_k (1, e^{-beta h/2}, e^{-beta h}), beta = delta/2 + i deltaL, and the
+pair commutes with rotations R(theta) of the coherence, so the step's
+map is I + R(theta_k) D(a_k) R(theta_k)^T with D a quartic in a_k whose
+coefficients come once per run from RK4 on polynomials.
+``integrate_bloch`` builds a fixed-size chunk of these maps from one exp,
+one cos/sin pair and one product with those coefficients, and composes
+them by a blocked two-level prefix scan of stacked 4 x 4 matmuls
+(Blelloch, "Prefix Sums and Their Applications", CMU-CS-90-190, 1990),
+carrying the last state into the next chunk.  It is the RK4 arithmetic
+in another order, so results agree with step-by-step RK4 to rounding,
+not bitwise.
 
 A drive run needs RK4 only on a head: the full-cycle grid cut at
 T = 80/gamma0 (:func:`head_grid`).  In the laser frame
@@ -80,7 +87,7 @@ from .model import (
     check_step,
     uniform_grid,
 )
-from .pulse import envelope_at, normalization
+from .pulse import normalization
 from .thermo import (
     check_full_cycle,
     energy_moments,
@@ -145,92 +152,123 @@ _ORDER_LIMIT = 0.9
 _SERIES_RTOL = 1e-17
 # Gauss-Legendre nodes of the tail's ratio moment.
 _TAIL_NODES = 60
+# Their nodes and weights, computed by the first tail (1.6 ms a rule);
+# two threads that race there only compute the same rule twice.
+_tail_rule = None
 
-# Steps per scan chunk.  Bounds the scan's working memory (a few hundred
-# bytes a step) whatever the grid length; blocks are isqrt(_CHUNK) steps.
+# Steps per scan chunk.  Bounds the scan's working memory (about 400 bytes
+# a step: the 4 x 4 maps, the 11 functions they are built from, and the
+# states) whatever the grid length; blocks are isqrt(_CHUNK) steps.
 _CHUNK = 1 << 14
 
-# Columns of the augmented identity: inputs x, y, p and the unit drive w.
-_X0, _Y0, _P0, _W0 = np.eye(4)[:, :, None]
 
-
-def _rk4_maps(u, h, gamma0):
-    """Affine maps ``y -> P y + q`` of classic RK4 steps of the Bloch pair.
+def _step_coefficients(h, gamma0, decay):
+    """Coefficients of the map of one classic RK4 step of the Bloch pair.
 
     With y = (Re s, Im s, rho_ee) and u = 2 g alpha~, the pair reads
     y' = A y + b with A = [[-gamma0/2, 0, Re u], [0, -gamma0/2, Im u],
-    [-Re u, -Im u, -gamma0]] and b = -(Re u, Im u, 0)/2.  ``u`` has shape
-    (3, m): the drive at t, t + h/2 and t + h of each of m steps.  The RK4
-    stages run on the four columns of the augmented identity at once.  The
-    result has shape (3, 4, m): P[r, c] at [r, c] for c < 3, q[r] at [r, 3].
+    [-Re u, -Im u, -gamma0]] and b = -(Re u, Im u, 0)/2.  Take a step
+    whose drive is u (1, e^{-decay h/2}, e^{-decay h}) at t, t + h/2 and
+    t + h, with u = a e^{i theta}.  At theta = 0 its augmented map (on
+    x, y, p and the unit drive w) is I + D(a), D(a) = sum_j a^j D_j: the
+    RK4 stages run on polynomials in a, with the augmented identity as
+    the state.  The pair commutes with rotations R(theta) of the
+    coherence, so at any theta the map is I + R(theta) D(a) R(theta)^T.
+    The rotation turns the part of D_j of charge q (0, 1 or 2) by
+    q theta, and a^j e^{i q theta} = r^n u^q with r = a^2 and
+    j = q + 2n, so R D R^T is linear in the 11 functions
+    (1, r, r^2, Re u, Im u, r Re u, r Im u, Re u^2, Im u^2, r Re u^2,
+    r Im u^2).  Returns their coefficients, shape (11, 16): row k is the
+    4 x 4 coefficient of function k, row by row, with a zero last row.
     """
-    half = 0.5 * gamma0
-    ur, ui = u.real, u.imag
-    w_half = 0.5 * _W0
+    lin = np.diag([-0.5 * gamma0, -0.5 * gamma0, -gamma0, 0.0])
+    # Generator parts of Re u and Im u; the drive's -1/2 is in column w.
+    re_u = np.array([[0, 0, 1, -0.5], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
+    im_u = np.array([[0, 0, 0, 0], [0, 0, 1, -0.5], [0, -1, 0, 0], [0, 0, 0, 0]])
+    drive = [
+        z.real * re_u + z.imag * im_u
+        for z in (1.0, cmath.exp(-0.5 * decay * h), cmath.exp(-decay * h))
+    ]
 
-    def deriv(x, y, p, k):
-        # -g alpha~ (1 - 2 rho_ee) = u z, with the drive's -1/2 in column w.
-        z = p - w_half
-        return (
-            ur[k] * z - half * x,
-            ui[k] * z - half * y,
-            -(ur[k] * x + ui[k] * y) - gamma0 * p,
-        )
+    def deriv(y, stage):
+        # y[j] is the a^j coefficient; the drive raises the power by one.
+        out = lin @ y
+        out[1:] += drive[stage] @ y[:-1]
+        return out
 
-    k1 = deriv(_X0, _Y0, _P0, 0)
-    k2 = deriv(*(s + 0.5 * h * k for s, k in zip((_X0, _Y0, _P0), k1)), 1)
-    k3 = deriv(*(s + 0.5 * h * k for s, k in zip((_X0, _Y0, _P0), k2)), 1)
-    k4 = deriv(*(s + h * k for s, k in zip((_X0, _Y0, _P0), k3)), 2)
-    return np.stack(
-        [
-            s + (h / 6.0) * (k1[r] + 2.0 * k2[r] + 2.0 * k3[r] + k4[r])
-            for r, s in enumerate((_X0, _Y0, _P0))
-        ]
+    y0 = np.zeros((5, 4, 4))
+    y0[0] = np.eye(4)
+    k1 = deriv(y0, 0)
+    k2 = deriv(y0 + 0.5 * h * k1, 1)
+    k3 = deriv(y0 + 0.5 * h * k2, 1)
+    k4 = deriv(y0 + h * k3, 2)
+    d = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # R(theta) = P + e^{i theta} E + e^{-i theta} conj(E), so the part of
+    # D_j of charge q is C_q = sum of A D_j B^T over the parts A, B whose
+    # charges add to q; it vanishes unless j = q + 2n.
+    e = np.zeros((4, 4), dtype=complex)
+    e[:2, :2] = [[0.5, 0.5j], [-0.5j, 0.5]]
+    parts = ((0, np.diag([0.0, 0.0, 1.0, 1.0])), (1, e), (-1, e.conj()))
+
+    def charge(dj, q):
+        return sum(a @ dj @ b.T for qa, a in parts for qb, b in parts if qa + qb == q)
+
+    coeffs = np.empty((11, 4, 4))
+    coeffs[:3] = [charge(dj, 0).real for dj in d[0::2]]
+    # 2 Re(r^n u^q C_q) = 2 r^n (Re u^q Re C_q - Im u^q Im C_q).
+    for q, row in ((1, 3), (2, 7)):
+        for n, dj in enumerate(d[q::2]):
+            c = 2.0 * charge(dj, q)
+            coeffs[row + 2 * n] = c.real
+            coeffs[row + 2 * n + 1] = -c.imag
+    return coeffs.reshape(11, 16)
+
+
+def _step_maps(coeffs, a, theta):
+    """Augmented RK4 maps of steps whose drive at t is a e^{i theta}.
+
+    The product of the 11 functions of :func:`_step_coefficients` with
+    ``coeffs`` is R(theta) D(a) R(theta)^T, in the maps' layout.  The
+    identity is added last: folded into the coefficients, the rounding
+    of 1 + D would repeat at every step.  ``a`` and ``theta`` share a
+    2-D shape S; returns S + (4, 4), last row (0, 0, 0, 1).
+    """
+    r = a * a
+    re, im = a * np.cos(theta), a * np.sin(theta)
+    re2, im2 = re * re - im * im, 2.0 * re * im
+    funcs = np.stack(
+        (np.ones_like(a), r, r * r, re, im, r * re, r * im, re2, im2, r * re2, r * im2)
     )
+    # One small product per row of S: a single product over the chunk
+    # would be large enough for BLAS to put a second thread on it.
+    maps = np.moveaxis(funcs, 0, -1) @ coeffs
+    maps[..., ::5] += 1.0
+    return maps.reshape(a.shape + (4, 4))
 
 
 def _scan(maps, state):
-    """States after each of m affine maps (shape (3, 4, m)) from ``state``.
+    """States after a chunk's steps from ``state`` (x, y, p).
 
-    Two-level scan over blocks of isqrt(m) steps: pass 1 composes the maps
-    of every block into prefix maps (serial over a block's steps,
-    vectorized across blocks), pass 2 runs the block totals from ``state``
-    to each block's start (serial over blocks), and pass 3 applies every
-    prefix to its block's start at once.  Returns shape (3, m).
+    ``maps`` has shape (nblocks, size, 4, 4): the chunk's augmented step
+    maps in order, in blocks of ``size``.  Pass 1 composes the maps of
+    every block into prefix maps in place (serial over a block's steps,
+    one stacked 4 x 4 matmul across blocks), pass 2 runs the block totals
+    from ``state`` to each block's start (serial over blocks), and pass 3
+    applies every prefix to its block's start at once, one matrix-vector
+    product per block.  Returns shape (nblocks size, 4): the augmented
+    state (x, y, p, 1) after each step.
     """
-    m = maps.shape[2]
-    size = math.isqrt(m)
-    nblocks = -(-m // size)
-    # prefix[j, :, :, b] is step j of block b; padding only feeds cut states.
-    padded = np.zeros((3, 4, nblocks * size))
-    padded[:, :, :m] = maps
-    prefix = np.ascontiguousarray(
-        padded.reshape(3, 4, nblocks, size).transpose(3, 0, 1, 2)
-    )
+    nblocks, size = maps.shape[:2]
     for j in range(1, size):
-        step = prefix[j]
-        prev = prefix[j - 1]
-        # step after prev: (P, q) o (P', q') = (P P', P q' + q).
-        comp = (
-            step[:, :1] * prev[0] + step[:, 1:2] * prev[1] + step[:, 2:3] * prev[2]
-        )
-        comp[:, 3] += step[:, 3]
-        prefix[j] = comp
-
+        maps[:, j] = maps[:, j] @ maps[:, j - 1]
     starts = []
-    for total in prefix[-1].transpose(2, 0, 1).tolist():
-        starts.append(state)
+    for total in maps[:, -1, :3].tolist():
+        starts.append(state + [1.0])
         x, y, p = state
         state = [row[0] * x + row[1] * y + row[2] * p + row[3] for row in total]
-    start_x, start_y, start_p = np.array(starts).T
-
-    states = (
-        prefix[:, :, 0] * start_x
-        + prefix[:, :, 1] * start_y
-        + prefix[:, :, 2] * start_p
-        + prefix[:, :, 3]
-    )
-    return states.transpose(1, 2, 0).reshape(3, nblocks * size)[:, :m]
+    states = maps.reshape(nblocks, 4 * size, 4) @ np.array(starts)[:, :, None]
+    return states.reshape(-1, 4)
 
 
 def integrate_bloch(
@@ -241,12 +279,14 @@ def integrate_bloch(
 ) -> BlochTrajectory:
     """Integrate the full nonlinear Bloch pair with classic RK4.
 
-    The pair is linear in (Re s, Im s, rho_ee) with a known drive, so each
-    RK4 step is exactly an affine map of the state.  The maps of a chunk of
-    steps are built with numpy from the drive at t, t + h/2 and t + h and
-    composed by a blocked two-level scan; the last state carries into the
-    next chunk.  This is the arithmetic of step-by-step RK4 in another
-    order: results agree with it to rounding, not bitwise.
+    Each RK4 step is exactly an affine map of the state: I plus the
+    rotation by the drive's phase of a quartic in its modulus (module
+    docstring).  A chunk's maps take one exp, one cos/sin pair and one
+    product with the quartic's coefficients, built once per run, in the
+    scan's block order; a blocked two-level scan of stacked matmuls
+    composes them, and the last state carries into the next chunk.  This
+    is the arithmetic of step-by-step RK4 in another order: results agree
+    with it to rounding, not bitwise.
 
     Parameters
     ----------
@@ -263,20 +303,23 @@ def integrate_bloch(
     h = grid.spacing
     check_step(h, system, pulse)
     n = grid.n
+    coeffs = _step_coefficients(h, system.gamma0, complex(0.5 * pulse.delta, pulse.deltaL))
+    amp = 2.0 * system.g * amplitude_scale * normalization(system, pulse)
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
     state = [0.0, 0.0, 0.0]
     for lo in range(0, n - 1, _CHUNK):
-        hi = min(lo + _CHUNK, n - 1)
-        t = np.arange(lo, hi + 1) * h
-        nodes = amplitude_scale * envelope_at(system, pulse, t)
-        mid = amplitude_scale * envelope_at(system, pulse, t[:-1] + 0.5 * h)
-        u = (2.0 * system.g) * np.stack((nodes[:-1], mid, nodes[1:]))
-        states = _scan(_rk4_maps(u, h, system.gamma0), state)
-        rho_eg.real[lo + 1 : hi + 1] = states[0]
-        rho_eg.imag[lo + 1 : hi + 1] = states[1]
-        rho_ee[lo + 1 : hi + 1] = states[2]
-        state = states[:, -1].tolist()
+        m = min(_CHUNK, n - 1 - lo)
+        size = math.isqrt(m)
+        nblocks = -(-m // size)
+        # The steps past the chunk only feed states that are cut.
+        t = (lo + np.arange(nblocks * size).reshape(nblocks, size)) * h
+        maps = _step_maps(coeffs, amp * np.exp(-0.5 * pulse.delta * t), -pulse.deltaL * t)
+        states = _scan(maps, state)[:m]
+        rho_eg.real[lo + 1 : lo + m + 1] = states[:, 0]
+        rho_eg.imag[lo + 1 : lo + m + 1] = states[:, 1]
+        rho_ee[lo + 1 : lo + m + 1] = states[:, 2]
+        state = states[-1, :3].tolist()
     return BlochTrajectory(
         grid=grid,
         rho_eg=rho_eg,
@@ -352,8 +395,11 @@ def _tail(traj: BlochTrajectory) -> tuple:
     x in [0, x_T], its integrand smooth there, with the ratio as defined
     (``thermo.ratio_integrand``), as ``energy_moments`` forms it at samples.
     """
-    from numpy.polynomial.legendre import leggauss
+    global _tail_rule
+    if _tail_rule is None:
+        from numpy.polynomial.legendre import leggauss
 
+        _tail_rule = leggauss(_TAIL_NODES)
     t_end = traj.grid.tf
     delta = traj.pulse.delta
     x_end = math.exp(-0.5 * delta * t_end)
@@ -368,7 +414,7 @@ def _tail(traj: BlochTrajectory) -> tuple:
     k = np.arange(1, len(coeffs) + 1)
     by_k = 2.0 * x_end**k / (k * delta)
     by_k1 = 2.0 * x_end ** (k + 1) / ((k + 1) * delta)
-    nodes, weights = leggauss(_TAIL_NODES)
+    nodes, weights = _tail_rule
     x = 0.5 * x_end * (nodes + 1.0)
     y = _series_state(coeffs, x)
     u = n_amp * x * (y[0] - 1j * y[1])
