@@ -144,9 +144,7 @@ def detuning_scan(system: SystemParams, delta: float, deltaL_list) -> DetuningSc
     a pure physics statement.
     """
     values = [float(d) for d in deltaL_list]
-    reports = tuple(
-        photon_report(system, make_pulse(delta, system.omega0 + d, system)) for d in values
-    )
+    reports = tuple(photon_report(system, make_pulse(delta, d)) for d in values)
     pairs = []
     for i, d in enumerate(values):
         if d > 0 and -d in values:

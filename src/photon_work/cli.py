@@ -44,14 +44,7 @@ from .dynamics import (
     full_cycle_grid,
 )
 from .effective import effective_trajectory
-from .model import (
-    DEFAULT_STEP_CAP,
-    PulseParams,
-    SystemParams,
-    make_pulse,
-    make_system,
-    uniform_grid,
-)
+from .model import DEFAULT_STEP_CAP, SystemParams, make_pulse, make_system, uniform_grid
 from .oracle import (
     DEFAULT_DRIFT_TOL,
     NormDriftError,
@@ -82,8 +75,8 @@ class RunConfig:
     omega0: float = 100.0
     rho0: float = 1.0 / (2.0 * math.pi)
     delta: float = 1.0
-    omegaL: float | None = None
-    step: float | None = None
+    deltaL: float = 0.0
+    step: float = DEFAULT_STEP_CAP
     cycle_tol: float = DEFAULT_CYCLE_TOL
     out: str = "run"
     traj_stride: int = 1
@@ -104,15 +97,9 @@ def _floats(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-# Parser of each config key, by annotation; deltaL is folded into omegaL.
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "float | None": float,
-    "tuple": _floats,
-}
-_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)} | {"deltaL": float}
+# Parser of each config key, by annotation.
+_PARSERS = {"str": str, "int": int, "float": float, "tuple": _floats}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 # Range of each constrained key.  The library checks six of them again
 # (make_mode_grid, full_cycle_grid, uniform_grid, make_pulse), but only
@@ -183,18 +170,11 @@ def parse_config(text: str) -> RunConfig:
 
     if values.get("mode", RunConfig.mode) not in _MODES:
         raise ValueError(_with_line(f"unknown mode '{values['mode']}'", lines["mode"]))
-    omega0 = values.get("omega0", RunConfig.omega0)
-    if "deltaL" in values:
-        if "omegaL" in values:
-            second = max(lines["omegaL"], lines["deltaL"])
-            raise ValueError(f"omegaL and deltaL are exclusive (line {second})")
-        lines["omegaL"] = lines["deltaL"]
-        values["omegaL"] = omega0 + values.pop("deltaL")
     config = RunConfig(**values)
 
     try:
-        system = make_system(config.gamma0, omega0=config.omega0, rho0=config.rho0)
-        _pulse(config, system, config.delta)
+        make_system(config.gamma0, omega0=config.omega0, rho0=config.rho0)
+        make_pulse(config.delta, config.deltaL)
     except ValueError as exc:
         key = str(exc).split()[0]
         raise ValueError(_with_line(str(exc), lines.get(key))) from None
@@ -239,14 +219,8 @@ def _exit_status(violations: list) -> int:
     return 2 if violations else 0
 
 
-def _pulse(config: RunConfig, system: SystemParams, delta: float) -> PulseParams:
-    """The configured pulse at bandwidth ``delta``, resonant if omegaL is unset."""
-    omegaL = system.omega0 if config.omegaL is None else config.omegaL
-    return make_pulse(delta, omegaL, system)
-
-
 def _run_single(config: RunConfig, system: SystemParams) -> int:
-    pulse = _pulse(config, system, config.delta)
+    pulse = make_pulse(config.delta, config.deltaL)
     grid = full_cycle_grid(
         system, pulse, cycle_tol=config.cycle_tol, max_step=config.step
     )
@@ -324,7 +298,7 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
     columns: dict = {}
     violations = []
     for d in deltas:
-        rep = compare_equivalences(system, _pulse(config, system, d))
+        rep = compare_equivalences(system, make_pulse(d, config.deltaL))
         row = {
             "delta": d,
             "w1": rep.photon.W1,
@@ -370,11 +344,11 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
 
 
 def _run_oracle(config: RunConfig, system: SystemParams) -> int:
-    pulse = _pulse(config, system, config.delta)
+    pulse = make_pulse(config.delta, config.deltaL)
     mode_grid = make_mode_grid(system, config.half_width, config.n_modes)
     state = init_single_photon(system, pulse, mode_grid)
     # The expansion is exact in time: the step only sets the sampling.
-    grid = uniform_grid(config.t_max, config.step or DEFAULT_STEP_CAP)
+    grid = uniform_grid(config.t_max, config.step)
     try:
         otraj = propagate(state, mode_grid, grid, drift_tol=config.drift_tol)
     except NormDriftError as exc:

@@ -268,7 +268,7 @@ def full_cycle_grid(
     system: SystemParams,
     pulse: PulseParams,
     cycle_tol: float = DEFAULT_CYCLE_TOL,
-    max_step: float | None = None,
+    max_step: float = DEFAULT_STEP_CAP,
 ) -> TimeGrid:
     """Grid long enough that the emitter has fully re-radiated.
 
@@ -285,9 +285,9 @@ def full_cycle_grid(
     ----------
     cycle_tol : float
         Population threshold, 0 < cycle_tol < 1.
-    max_step : float, optional
+    max_step : float
         Cap on the spacing, which is ``min(max_step, 0.02 / max rate)``
-        (``model.default_step``); unset, the cap is 1e-3.
+        (``model.default_step``).
     """
     if not (0.0 < cycle_tol < 1.0):
         raise ValueError("cycle_tol must be in (0, 1)")
@@ -308,5 +308,4 @@ def full_cycle_grid(
             else:
                 hi = mid
         t_star = 0.5 * (lo + hi)
-    cap = DEFAULT_STEP_CAP if max_step is None else max_step
-    return uniform_grid(2.0 * t_star, default_step(rate_scale(system, pulse), cap))
+    return uniform_grid(2.0 * t_star, default_step(rate_scale(system, pulse), max_step))

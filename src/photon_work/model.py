@@ -71,18 +71,19 @@ class SystemParams:
 class PulseParams:
     """Truncated exponential pulse constants.
 
+    The pulse enters every result only through its bandwidth and its
+    detuning from the emitter, so the central frequency is never stored:
+    it is ``omega0 + deltaL`` of whichever system the pulse drives.
+
     Attributes
     ----------
     delta : float
         Pulse bandwidth, in units of ``gamma0``.
-    omegaL : float
-        Central pulse frequency, in units of ``gamma0``.
     deltaL : float
-        Detuning ``omegaL - omega0``, derived by :func:`make_pulse`.
+        Laser detuning ``omegaL - omega0``, in units of ``gamma0``.
     """
 
     delta: float
-    omegaL: float
     deltaL: float
 
 
@@ -148,23 +149,22 @@ def make_system(
     return SystemParams(gamma0=gamma0, omega0=omega0, rho0=rho0, g=g)
 
 
-def make_pulse(delta: float, omegaL: float, system: SystemParams) -> PulseParams:
-    """Build validated pulse parameters with the detuning derived.
+def make_pulse(delta: float, deltaL: float = 0.0) -> PulseParams:
+    """Build validated pulse parameters.
 
     Parameters
     ----------
     delta : float
         Pulse bandwidth, must be positive.
-    omegaL : float
-        Central pulse frequency.
-    system : SystemParams
-        Supplies ``omega0`` for the detuning ``deltaL = omegaL - omega0``.
+    deltaL : float
+        Laser detuning ``omegaL - omega0``, must be finite; the default
+        drives the emitter on resonance.
     """
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    if not math.isfinite(omegaL):
-        raise ValueError("omegaL must be finite")
-    return PulseParams(delta=delta, omegaL=omegaL, deltaL=omegaL - system.omega0)
+    if not math.isfinite(deltaL):
+        raise ValueError("deltaL must be finite")
+    return PulseParams(delta=delta, deltaL=deltaL)
 
 
 def uniform_grid(tf: float, step: float) -> TimeGrid:

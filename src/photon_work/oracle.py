@@ -69,21 +69,21 @@ class NormDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform frequency comb of the discretized continuum.
+    """Uniform frequency comb of the discretized continuum, centered on
+    the emitter frequency omega0.
 
     ``coupling`` is the per-mode coupling of the even channel,
     gbar = sqrt(gamma0 spacing / 2 pi), so the discrete golden-rule rate
     2 pi gbar^2 / spacing equals gamma0 exactly.
     """
 
-    center: float
     half_width: float
     n_modes: int
     spacing: float
     coupling: float
 
     def detunings(self) -> np.ndarray:
-        """Mode detunings from the center, spanning [-W, W]."""
+        """Mode detunings from omega0, spanning [-W, W]."""
         return -self.half_width + self.spacing * np.arange(self.n_modes)
 
 
@@ -138,7 +138,6 @@ def make_mode_grid(
     spacing = 2.0 * half_width / (n_modes - 1)
     coupling = math.sqrt(system.gamma0 * spacing / (2.0 * math.pi))
     return ModeGrid(
-        center=system.omega0,
         half_width=half_width,
         n_modes=n_modes,
         spacing=spacing,
@@ -159,8 +158,7 @@ def init_single_photon(
     renormalization; below ``MIN_CAPTURED_MASS`` the state is flagged
     ``window_ok=False``.
     """
-    omega = mode_grid.center + mode_grid.detunings()
-    raw = 1.0 / (0.5 * pulse.delta + 1j * (pulse.omegaL - omega))
+    raw = 1.0 / (0.5 * pulse.delta + 1j * (pulse.deltaL - mode_grid.detunings()))
     raw2 = np.abs(raw) ** 2
     # Continuum weight of |alpha~|^2 is 2 pi rho0; the rho0 factor cancels
     # in the captured fraction.

@@ -2,10 +2,11 @@
 
 The pulse is a truncated exponential: it reaches the emitter at t = 0 and
 decays with bandwidth ``delta``.  Envelopes are evaluated in the frame
-rotating at ``omega0``, which removes the only optical-frequency scale;
+rotating at ``omega0``, which removes the only optical-frequency scale:
+the pulse enters only through ``delta`` and its detuning ``deltaL``, and
 amplitude ratios and populations are unchanged by the frame choice.
 Like every pulse-driven function, these take ``(system, pulse, ...)``:
-the system supplies ``rho0`` (normalization) and ``omega0`` (frame).
+the system supplies ``rho0`` (normalization).
 """
 
 from __future__ import annotations

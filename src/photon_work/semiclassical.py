@@ -472,9 +472,11 @@ def work_reactive(system: SystemParams, pulse: PulseParams) -> float:
 
 def work_absorptive(system: SystemParams, pulse: PulseParams) -> float:
     """Absorptive drive work from linear response,
-    ``hbar omegaL 2 g integral chi~''(omega) |alpha~(omega)|^2 domega``;
-    equals ``2 hbar omegaL gamma0 / (gamma0 + delta)`` on resonance."""
-    return pulse.omegaL * 2.0 * system.g * _spectral_overlap(system, pulse).imag
+    ``hbar omegaL 2 g integral chi~''(omega) |alpha~(omega)|^2 domega``
+    with ``omegaL = omega0 + deltaL``; equals ``2 hbar omega0 gamma0 /
+    (gamma0 + delta)`` on resonance."""
+    omegaL = system.omega0 + pulse.deltaL
+    return omegaL * 2.0 * system.g * _spectral_overlap(system, pulse).imag
 
 
 def work_total_and_decomposition(traj: BlochTrajectory) -> SemiclassicalReport:

@@ -88,7 +88,7 @@ def run_set(system) -> RunSet:
     records = []
     timings = {"thermo": 0.0, "ode": 0.0, "bloch": 0.0}
     for delta, deltaL in params:
-        pulse = make_pulse(delta, system.omega0 + deltaL, system)
+        pulse = make_pulse(delta, deltaL)
         rate = max(system.gamma0, delta, abs(deltaL))
         step = run_step(rate)
 
@@ -136,7 +136,7 @@ class ConfluentRun:
 
 @pytest.fixture(scope="session")
 def confluent_run(system) -> ConfluentRun:
-    pulse = make_pulse(1.0, system.omega0, system)
+    pulse = make_pulse(1.0)
     grid = full_cycle_grid(system, pulse, cycle_tol=1e-12, max_step=1e-4)
     traj = closed_form_trajectory(system, pulse, grid)
     return ConfluentRun(
@@ -185,7 +185,7 @@ def _oracle_case(system, pulse, half_width, n_modes, t_max=10.0) -> OracleRun:
 @pytest.fixture(scope="session")
 def oracle_pair(system):
     """Confluent resonant oracle runs at W = 100 and the doubled window."""
-    pulse = make_pulse(1.0, system.omega0, system)
+    pulse = make_pulse(1.0)
     base = _oracle_case(system, pulse, 100.0, 4001)
     doubled = _oracle_case(system, pulse, 200.0, 8001)
     return base, doubled
@@ -197,7 +197,7 @@ def equivalence_pair(system):
     out = {}
     timings = {}
     for delta in (0.01, 0.001):
-        pulse = make_pulse(delta, system.omega0 + 0.2, system)
+        pulse = make_pulse(delta, 0.2)
         t0 = time.perf_counter()
         out[delta] = compare_equivalences(system, pulse)
         timings[delta] = time.perf_counter() - t0

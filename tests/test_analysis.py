@@ -60,7 +60,7 @@ def test_relative_errors_fall_monotonically_with_bandwidth(sys1, equivalence_pai
     equivalence a limit statement rather than a coincidence."""
     reports, _ = equivalence_pair
     extra = {
-        delta: compare_equivalences(sys1, make_pulse(delta, 100.2, sys1))
+        delta: compare_equivalences(sys1, make_pulse(delta, 0.2))
         for delta in (10.0**-1.5, 10.0**-2.5)
     }
     assert not extra[10.0**-1.5].regime.in_regime
@@ -77,7 +77,7 @@ def test_relative_errors_fall_monotonically_with_bandwidth(sys1, equivalence_pai
 def test_zero_detuning_pair_uses_error_floor(sys1):
     # Both members of the work pair vanish identically on resonance, so
     # the floor keeps the relative error at zero instead of 0/0.
-    rep = compare_equivalences(sys1, make_pulse(0.01, 100.0, sys1))
+    rep = compare_equivalences(sys1, make_pulse(0.01))
     assert rep.photon.W1 == 0.0
     assert rep.drive.W_reac == 0.0
     assert rep.rel_err_work_reactive == 0.0
@@ -114,12 +114,12 @@ def test_scan_antisymmetry_is_exact_far_from_resonance(sys1):
 def test_scan_points_are_photon_reports(sys1):
     scan = detuning_scan(sys1, 0.3, [-0.7, 2.0])
     for d, rep in zip(scan.deltaL.tolist(), scan.reports):
-        assert rep == photon_report(sys1, make_pulse(0.3, 100.0 + d, sys1))
+        assert rep == photon_report(sys1, make_pulse(0.3, d))
 
 
 def test_equivalence_photon_side_is_grid_free(sys1):
     # The drive's head grid leaves the photon's side alone.
-    pulse = make_pulse(0.1, 100.2, sys1)
+    pulse = make_pulse(0.1, 0.2)
     rep = compare_equivalences(sys1, pulse)
     assert rep.photon == photon_report(sys1, pulse)
     assert rep.regime.max_pop_quantum == peak_population(sys1, pulse)

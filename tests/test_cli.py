@@ -27,19 +27,20 @@ from photon_work.thermo import photon_report
 
 def test_empty_text_gives_defaults():
     cfg = parse_config("")
-    # omegaL stays unset (resonance) like every other field default.
     assert cfg == RunConfig()
-    assert cfg.omegaL is None
+    assert cfg.deltaL == 0.0
     assert cfg.mode == "single"
-    assert cfg.step is None
+    assert cfg.step == 1e-3
     assert cfg.cycle_tol == 1e-12
     assert cfg.rho0 == pytest.approx(1.0 / (2.0 * math.pi))
 
 
 def test_parse_laser_frequency_forms():
-    assert parse_config("mode=single\ndelta=1.0\nomegaL=100").omegaL == 100.0
-    assert parse_config("deltaL=0.5").omegaL == 100.5
-    assert parse_config("deltaL=-0.5\nomega0=50").omegaL == 49.5
+    assert parse_config("mode=single\ndelta=1.0").deltaL == 0.0
+    assert parse_config("deltaL=0.5").deltaL == 0.5
+    # Stored as given: no bit below ulp(omega0) is lost.
+    detuning = parse_config("deltaL=-0.2169875550466755\nomega0=50").deltaL
+    assert detuning == -0.2169875550466755
     cfg = parse_config("# full comment\n\ndelta=2.0  # trailing comment\n")
     assert cfg.delta == 2.0
     cfg = parse_config("deltaL_values=-0.2, 0.2,1")
@@ -53,7 +54,7 @@ def test_parse_laser_frequency_forms():
         ("mode=detuning", "unknown mode 'detuning' (line 1)"),
         ("bogus=3", "unknown key 'bogus' (line 1)"),
         ("delta=1\ndelta=2", "duplicate key 'delta' (line 2)"),
-        ("omegaL=100.2\ndeltaL=0.2", "omegaL and deltaL are exclusive (line 2)"),
+        ("omegaL=100.2\ndeltaL=0.2", "unknown key 'omegaL' (line 1)"),
         ("step=0", "step must be positive (line 1)"),
         ("cycle_tol=2", "cycle_tol must be in (0, 1) (line 1)"),
         ("delta=abc", "invalid value for delta: 'abc' (line 1)"),
@@ -71,10 +72,7 @@ def test_parse_errors_name_the_line(text, fragment):
     assert fragment in str(excinfo.value)
 
 
-_FLOAT_KEYS = sorted(
-    {f.name for f in fields(RunConfig) if f.type in ("float", "float | None", "tuple")}
-    | {"deltaL"}
-)
+_FLOAT_KEYS = sorted(f.name for f in fields(RunConfig) if f.type in ("float", "tuple"))
 
 
 @pytest.mark.parametrize("key", _FLOAT_KEYS)
@@ -106,12 +104,19 @@ def test_readme_keys_table_names_every_config_key():
         for row in table.splitlines()[2:]
         for key in re.findall(r"`(\w+)`", row.split("|")[1])
     }
-    assert documented == {f.name for f in fields(RunConfig)} | {"deltaL"}
+    assert documented == {f.name for f in fields(RunConfig)}
     for key in documented:
         try:
             parse_config(f"{key}=1")
         except ValueError as exc:
             assert "unknown key" not in str(exc)
+
+
+def test_readme_python_api_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 def test_readme_synopsis_names_every_option(capsys):
@@ -181,11 +186,23 @@ def test_single_mode_artifacts(workdir, capsys):
     assert len(traj) > 100  # strided but still resolving the cycle
 
 
+def test_configured_detuning_reaches_the_run(workdir):
+    # The summary's W1 is that of the configured detuning, to the bit.
+    deltaL = -0.2169875550466755
+    text = f"mode=single\ndelta=0.3\ndeltaL={deltaL!r}\ntraj_stride=1000\nout=dl\n"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([_write(workdir, text)]) == 0
+    lines = (workdir / "dl_summary.csv").read_text().splitlines()
+    assert lines[0].startswith("W1,")
+    w1 = float(lines[1].split(",")[0])
+    assert w1 == photon_report(make_system(), make_pulse(0.3, deltaL)).W1
+
+
 def test_single_mode_prints_the_grid_it_used(workdir, capsys):
     cfg = _write(workdir, "mode=single\ndelta=0.5\ndeltaL=0.3\ntraj_stride=500\n")
     assert main([cfg]) == 0
     system = make_system()
-    grid = full_cycle_grid(system, make_pulse(0.5, 100.3, system))
+    grid = full_cycle_grid(system, make_pulse(0.5, 0.3))
     lines = capsys.readouterr().out.splitlines()
     assert f"trapezoid n={grid.n} spacing={grid.spacing:.6g}" in lines
 
@@ -294,7 +311,7 @@ def test_equivalence_mode_default_step_is_the_library_default(workdir):
     cfg = _write(workdir, "mode=equivalence\ndelta=0.1\ndeltaL=0.2\nout=eqd\n")
     assert main([cfg]) == 0
     system = make_system()
-    rep = compare_equivalences(system, make_pulse(0.1, 100.2, system))
+    rep = compare_equivalences(system, make_pulse(0.1, 0.2))
     expected = [
         0.1,
         rep.photon.W1,
@@ -323,7 +340,7 @@ def test_single_mode_default_step_is_the_library_default(workdir, capsys):
     )
     assert main([cfg]) == 0
     system = make_system()
-    pulse = make_pulse(1.0, 130.0, system)
+    pulse = make_pulse(1.0, 30.0)
     grid = full_cycle_grid(system, pulse, cycle_tol=1e-12)
     assert f"trapezoid n={grid.n} spacing={grid.spacing:.6g}" in capsys.readouterr().out
     rep = photon_report(system, pulse)
@@ -376,7 +393,7 @@ def test_oversized_grid_exits_1_with_a_message(workdir, capsys):
     # space, so the allocation is refused without touching memory.
     system = make_system()
     grid = full_cycle_grid(
-        system, make_pulse(1.0, 100.0, system), cycle_tol=1e-12, max_step=1e-12
+        system, make_pulse(1.0), cycle_tol=1e-12, max_step=1e-12
     )
     assert grid.n * 8 > 2**47
     cfg = _write(workdir, "mode=single\nstep=1e-12\n")

@@ -29,14 +29,14 @@ def sys1():
 
 
 def test_initial_condition(sys1):
-    pulse = make_pulse(0.7, 100.3, sys1)
+    pulse = make_pulse(0.7, 0.3)
     assert closed_form_psi(sys1, pulse, 0.0) == 0.0
 
 
 def test_confluent_peak_population(sys1):
     # Gamma0 = Delta, deltaL = 0: |psi|^2 = (t^2/2) e^{-t}, peaking at
     # 2 e^{-2} for t = 2.
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     peak = abs(closed_form_psi(sys1, pulse, 2.0)) ** 2
     assert peak == pytest.approx(2.0 * math.exp(-2.0), abs=1e-15)
     for t in (1.0, 1.9, 2.1, 4.0):
@@ -44,12 +44,12 @@ def test_confluent_peak_population(sys1):
 
 
 def test_fast_pulse_decays(sys1):
-    pulse = make_pulse(2.0, 100.0, sys1)
+    pulse = make_pulse(2.0)
     assert abs(closed_form_psi(sys1, pulse, 80.0)) < 1e-15
 
 
 def test_negative_time_rejected(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     with pytest.raises(ValueError, match="t must be >= 0"):
         closed_form_psi(sys1, pulse, -0.5)
 
@@ -59,8 +59,8 @@ def test_confluent_branch_is_continuous(sys1):
     |a - b| = 1e-8 agree: the divided difference has no branch there."""
     eps = 1e-8
     ts = np.linspace(0.0, 20.0, 400)
-    below = closed_form_psi(sys1, make_pulse(1.0 + 1.9 * eps, 100.0, sys1), ts)
-    above = closed_form_psi(sys1, make_pulse(1.0 + 2.1 * eps, 100.0, sys1), ts)
+    below = closed_form_psi(sys1, make_pulse(1.0 + 1.9 * eps), ts)
+    above = closed_form_psi(sys1, make_pulse(1.0 + 2.1 * eps), ts)
     assert np.max(np.abs(below - above)) < 1e-6
 
 
@@ -82,7 +82,7 @@ def test_closed_form_is_accurate_near_confluence(sys1, gap, bound):
     # that dropped the (a - b) t term erred by 2e-7 just under it, and
     # the plain difference just over it by 4e-9.  The plain difference is
     # now kept only where |a - b| t >= 1e-4 and loses at most four digits.
-    pulse = make_pulse(1.0 - 2.0 * gap, 100.0, sys1)
+    pulse = make_pulse(1.0 - 2.0 * gap)
     ts = np.array([0.5, 2.0, 10.0, 40.0])
     got = closed_form_psi(sys1, pulse, ts)
     want = np.array([_psi_mp(1.0, pulse.delta, 0.0, t) for t in ts])
@@ -108,7 +108,7 @@ def test_exprel_components_are_accurate():
 )
 def test_peak_population_is_the_continuous_maximum(sys1, delta, deltaL):
     # At deltaL = 100 the sampling stops after the first of its 97 chunks.
-    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    pulse = make_pulse(delta, deltaL)
     peak = peak_population(sys1, pulse)
     ts = np.linspace(0.0, 80.0 / min(1.0, delta), 400001)
     sampled = np.abs(closed_form_psi(sys1, pulse, ts)) ** 2
@@ -147,7 +147,7 @@ def _peak_mp(gamma0, delta, deltaL, t0):
 def test_peak_population_matches_a_forty_digit_maximum(sys1, delta, deltaL):
     # Confluence (a = b) and fast beats; the start of the 40-digit root
     # search is the best of 400001 samples.
-    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    pulse = make_pulse(delta, deltaL)
     ts = np.linspace(0.0, 80.0 / min(1.0, delta), 400001)
     t0 = ts[int(np.argmax(np.abs(closed_form_psi(sys1, pulse, ts))))]
     want = _peak_mp(sys1.gamma0, pulse.delta, pulse.deltaL, t0)
@@ -161,13 +161,13 @@ def test_peak_population_matches_a_forty_digit_maximum(sys1, delta, deltaL):
 )
 def test_population_stays_physical(delta, deltaL, t):
     system = make_system()
-    pulse = make_pulse(delta, 100.0 + deltaL, system)
+    pulse = make_pulse(delta, deltaL)
     pop = abs(closed_form_psi(system, pulse, t)) ** 2
     assert 0.0 <= pop <= 1.0
 
 
 def test_ode_matches_closed_form_confluent(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     grid = uniform_grid(40.0, 1e-3)
     ode = integrate_psi(sys1, pulse, grid)
     ref = closed_form_psi(sys1, pulse, grid.times())
@@ -175,7 +175,7 @@ def test_ode_matches_closed_form_confluent(sys1):
 
 
 def test_ode_matches_closed_form_narrowband(sys1):
-    pulse = make_pulse(0.01, 100.3, sys1)
+    pulse = make_pulse(0.01, 0.3)
     grid = uniform_grid(60.0, 1e-3)
     ode = integrate_psi(sys1, pulse, grid)
     ref = closed_form_psi(sys1, pulse, grid.times())
@@ -191,7 +191,7 @@ def test_ode_matches_closed_form_randomized(delta, deltaL):
     """Max-norm agreement below 1e-6 across the parameter box with the
     rate-scaled step; the closed form is the oracle for the integrator."""
     system = make_system()
-    pulse = make_pulse(delta, 100.0 + deltaL, system)
+    pulse = make_pulse(delta, deltaL)
     step = 1e-3 / max(1.0, delta, abs(deltaL))
     grid = full_cycle_grid(system, pulse, cycle_tol=1e-6, max_step=step)
     ode = integrate_psi(system, pulse, grid)
@@ -201,26 +201,26 @@ def test_ode_matches_closed_form_randomized(delta, deltaL):
 
 def test_zero_coupling_hook_gives_no_excitation(sys1):
     system = dataclasses.replace(sys1, g=0.0)
-    pulse = make_pulse(1.0, 100.0, system)
+    pulse = make_pulse(1.0)
     ode = integrate_psi(system, pulse, uniform_grid(10.0, 1e-3))
     assert np.all(ode.psi == 0.0)
 
 
 def test_step_guard_refuses_coarse_grid(sys1):
-    pulse = make_pulse(1.0, 120.0, sys1)  # deltaL = 20 is the fastest rate
+    pulse = make_pulse(1.0, 20.0)  # deltaL = 20 is the fastest rate
     with pytest.raises(ValueError, match="step .* too large"):
         integrate_psi(sys1, pulse, uniform_grid(10.0, 1e-2))
 
 
 def test_trajectory_carries_matching_envelope(sys1):
-    pulse = make_pulse(0.5, 100.2, sys1)
+    pulse = make_pulse(0.5, 0.2)
     grid = uniform_grid(5.0, 1e-3)
     traj = closed_form_trajectory(sys1, pulse, grid)
     assert traj.psi.shape == (grid.n,)
 
 
 def test_full_cycle_grid_reaches_floor(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12)
     # (t^2/2) e^{-t} < 1e-12 requires t of roughly 70; the horizon is
     # doubled past that point, and the end population is far below target.
@@ -249,7 +249,7 @@ def test_full_cycle_root_meets_the_tolerance(sys1, monkeypatch, delta, deltaL, c
         return uniform_grid(tf, step)
 
     monkeypatch.setattr(dynamics, "uniform_grid", spy)
-    pulse = make_pulse(delta, 100.0 + deltaL, sys1)
+    pulse = make_pulse(delta, deltaL)
     full_cycle_grid(sys1, pulse, cycle_tol=cycle_tol)
     t_star = 0.5 * horizons[0]
     xtol = 1e-9 / (0.5 * min(sys1.gamma0, pulse.delta))
@@ -259,21 +259,21 @@ def test_full_cycle_root_meets_the_tolerance(sys1, monkeypatch, delta, deltaL, c
 
 def test_full_cycle_grid_follows_slow_rate(sys1):
     # Delta = 10: the emitter decay gamma0 dominates the tail.
-    fast = full_cycle_grid(sys1, make_pulse(10.0, 100.0, sys1), cycle_tol=1e-9)
-    slow = full_cycle_grid(sys1, make_pulse(0.1, 100.0, sys1), cycle_tol=1e-9)
+    fast = full_cycle_grid(sys1, make_pulse(10.0), cycle_tol=1e-9)
+    slow = full_cycle_grid(sys1, make_pulse(0.1), cycle_tol=1e-9)
     assert 30.0 < fast.tf < 150.0
     assert slow.tf > 4.0 * fast.tf
 
 
 def test_full_cycle_grid_coarse_tolerance_is_short(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     assert full_cycle_grid(sys1, pulse, cycle_tol=0.5).tf < full_cycle_grid(
         sys1, pulse, cycle_tol=1e-12
     ).tf
 
 
 def test_full_cycle_grid_validation(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     with pytest.raises(ValueError, match="cycle_tol"):
         full_cycle_grid(sys1, pulse, cycle_tol=0.0)
     with pytest.raises(ValueError, match="cycle_tol"):

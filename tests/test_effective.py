@@ -19,7 +19,7 @@ def sys1():
 
 @pytest.fixture(scope="module")
 def confluent(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     grid = uniform_grid(20.0, 1e-3)
     return closed_form_trajectory(sys1, pulse, grid)
 
@@ -50,7 +50,7 @@ def test_confluent_resonant_has_no_shift(confluent):
 
 def test_decay_rate_relaxes_to_gamma0(sys1):
     # Broadband pulse: once the drive is gone only spontaneous decay acts.
-    pulse = make_pulse(10.0, 100.0, sys1)
+    pulse = make_pulse(10.0)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(10.0, 1e-3))
     assert effective_trajectory(traj).gamma_t[-1] == pytest.approx(
         sys1.gamma0, abs=1e-9
@@ -59,7 +59,7 @@ def test_decay_rate_relaxes_to_gamma0(sys1):
 
 def test_population_rate_equation(sys1):
     """d|psi|^2/dt = -Gamma(t) |psi|^2 holds sample by sample."""
-    pulse = make_pulse(0.5, 100.7, sys1)
+    pulse = make_pulse(0.5, 0.7)
     grid = uniform_grid(12.0, 1e-3)
     traj = closed_form_trajectory(sys1, pulse, grid)
     eff = effective_trajectory(traj)
@@ -71,7 +71,7 @@ def test_population_rate_equation(sys1):
 
 def test_interaction_energy_matches_shift(sys1):
     # <H_int> = 2 hbar delta_eff |psi|^2 where both are defined.
-    pulse = make_pulse(0.5, 100.7, sys1)
+    pulse = make_pulse(0.5, 0.7)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(12.0, 1e-3))
     eff = effective_trajectory(traj)
     sel = eff.valid_mask & (eff.pop > 0.0)
@@ -89,10 +89,10 @@ def test_detuning_flip_antisymmetry(sys1):
     decay rate and population."""
     grid = uniform_grid(15.0, 1e-3)
     plus = effective_trajectory(
-        closed_form_trajectory(sys1, make_pulse(0.3, 100.8, sys1), grid)
+        closed_form_trajectory(sys1, make_pulse(0.3, 0.8), grid)
     )
     minus = effective_trajectory(
-        closed_form_trajectory(sys1, make_pulse(0.3, 99.2, sys1), grid)
+        closed_form_trajectory(sys1, make_pulse(0.3, -0.8), grid)
     )
     sel = plus.valid_mask & minus.valid_mask
     assert np.max(np.abs(plus.delta_eff[sel] + minus.delta_eff[sel])) < 1e-9
@@ -101,7 +101,7 @@ def test_detuning_flip_antisymmetry(sys1):
 
 
 def test_low_population_samples_are_masked(sys1):
-    pulse = make_pulse(2.0, 100.0, sys1)
+    pulse = make_pulse(2.0)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(80.0, 1e-2))
     eff = effective_trajectory(traj)
     assert not eff.valid_mask[0]  # psi(0) = 0
@@ -115,7 +115,7 @@ def test_low_population_samples_are_masked(sys1):
 
 def test_zero_coupling_leaves_no_valid_samples(sys1):
     system = dataclasses.replace(sys1, g=0.0)
-    pulse = make_pulse(1.0, 100.0, system)
+    pulse = make_pulse(1.0)
     traj = integrate_psi(system, pulse, uniform_grid(5.0, 1e-3))
     eff = effective_trajectory(traj)
     assert not eff.valid_mask.any()

@@ -53,7 +53,7 @@ def sys1():
 @pytest.fixture(scope="module")
 def sweep_reports(sys1):
     return [
-        photon_report(sys1, make_pulse(SWEEP_DELTA, 100.0 + row[0], sys1)) for row in SWEEP
+        photon_report(sys1, make_pulse(SWEEP_DELTA, row[0])) for row in SWEEP
     ]
 
 
@@ -138,7 +138,7 @@ def test_near_confluent_ledger_matches_fifty_digits(sys1, eps, side):
     # eps^2 / 6 here, a sum of terms of order eps, so its relative error
     # grows as the terms cancel; each value is held to the rounding of
     # the terms its row adds.
-    pulse = make_pulse(1.0 + 2.0 * side * eps, 100.0 + eps, sys1)
+    pulse = make_pulse(1.0 + 2.0 * side * eps, eps)
     moments, values = _mp_ledger(pulse.delta, pulse.deltaL)
     for got, want in zip(closed_form_moments(sys1, pulse), moments):
         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
@@ -169,7 +169,7 @@ def test_near_matched_bandwidth_work_matches_thirty_digits(sys1, delta, deltaL, 
     # at deltaL = 20 and 1/2000 of them (0.025) at deltaL = 40, where 5e-11
     # of W1 is 2.5e-14 of the terms.  At delta = 1.001 > gamma0 the ratio
     # moment takes its other half-plane's form, and W1 changes sign.
-    rep = photon_report(sys1, make_pulse(delta, 100.0 + deltaL, sys1))
+    rep = photon_report(sys1, make_pulse(delta, deltaL))
     assert abs(rep.W1 - w1) <= rtol * abs(w1)
 
 
@@ -178,7 +178,7 @@ def test_ratio_moment_far_from_resonance_matches_twenty_digits(sys1, deltaL):
     # Reference: mpmath.quad at 20 digits, split at every beat minimum
     # 2 pi k / |deltaL|; the digamma form at 50 digits agrees with it to
     # 1.7e-15.  A quadrature must resolve thousands of beats here.
-    ratio = closed_form_moments(sys1, make_pulse(0.5, 100.0 + deltaL, sys1))[3]
+    ratio = closed_form_moments(sys1, make_pulse(0.5, deltaL))[3]
     want = -math.copysign(3.7499995194793681e-4, deltaL)
     assert abs(ratio - want) <= 1e-13 * abs(want)
 
@@ -211,7 +211,7 @@ def test_sampled_report_agrees_within_the_trapezoid_error(sys1, deltaL):
     # that vector.  W1's h^2 terms cancel, and with the ratio integrated
     # as defined (no floor in |psi|^2) it sits at rounding: zeroing the
     # ratio at or below 1e-12 of the peak put it 2.5e-13 off.
-    pulse = make_pulse(0.3, 100.0 + deltaL, sys1)
+    pulse = make_pulse(0.3, deltaL)
     grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=1e-3)
     sampled = thermo_report(closed_form_trajectory(sys1, pulse, grid))
     exact = photon_report(sys1, pulse)
@@ -228,6 +228,6 @@ def test_sampled_report_agrees_within_the_trapezoid_error(sys1, deltaL):
 
 def test_resonant_report_does_no_work(sys1):
     for delta in (0.37, 1.0, 4.0):
-        rep = photon_report(sys1, make_pulse(delta, 100.0, sys1))
+        rep = photon_report(sys1, make_pulse(delta))
         assert rep.W1 == 0.0
         assert rep.Q1_abs > 0.0 > rep.Q1_em

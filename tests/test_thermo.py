@@ -22,7 +22,7 @@ def sys1():
 @pytest.fixture(scope="module")
 def detuned_run(sys1):
     """A generic full cycle with both detuning and bandwidth mismatch."""
-    pulse = make_pulse(0.3, 100.7, sys1)
+    pulse = make_pulse(0.3, 0.7)
     grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=1e-3)
     traj = closed_form_trajectory(sys1, pulse, grid)
     return traj, thermo_report(traj)
@@ -44,7 +44,7 @@ def test_internal_energy_at_confluent_peak(confluent_run):
 def test_confluent_half_cycle_heat(sys1):
     """Up to the population peak the emitter has absorbed exactly the
     internal energy it holds there: no work flows on resonance."""
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(2.0, 1e-4))
     expected = 100.0 * 2.0 * math.exp(-2.0)
     rep = thermo_report(traj, allow_partial=True)
@@ -53,7 +53,7 @@ def test_confluent_half_cycle_heat(sys1):
 
 
 def test_partial_grid_rejected_without_flag(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     traj = closed_form_trajectory(sys1, pulse, uniform_grid(2.0, 1e-3))
     with pytest.raises(
         ValueError, match="boundary terms not negligible.*allow_partial"
@@ -91,15 +91,15 @@ def test_resonant_work_is_exactly_zero(sys1):
     # deltaL = 0 keeps phi and psi in phase for any bandwidth, so the
     # work integrand is identically zero, not merely small.
     for delta in (0.37, 1.0, 4.0):
-        pulse = make_pulse(delta, 100.0, sys1)
+        pulse = make_pulse(delta)
         grid = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=1e-3)
         traj = closed_form_trajectory(sys1, pulse, grid)
         assert abs(thermo_report(traj).W1) < 1e-16
 
 
 def test_work_antisymmetric_under_detuning_flip(sys1):
-    pulse_p = make_pulse(0.1, 100.4, sys1)
-    pulse_m = make_pulse(0.1, 99.6, sys1)
+    pulse_p = make_pulse(0.1, 0.4)
+    pulse_m = make_pulse(0.1, -0.4)
     grid = full_cycle_grid(sys1, pulse_p, cycle_tol=1e-12, max_step=1e-3)
     w_p = thermo_report(closed_form_trajectory(sys1, pulse_p, grid)).W1
     w_m = thermo_report(closed_form_trajectory(sys1, pulse_m, grid)).W1
@@ -108,7 +108,7 @@ def test_work_antisymmetric_under_detuning_flip(sys1):
 
 
 def test_work_value_converges_with_step(sys1):
-    pulse = make_pulse(0.1, 100.2, sys1)
+    pulse = make_pulse(0.1, 0.2)
     grid_ref = full_cycle_grid(sys1, pulse, cycle_tol=1e-12, max_step=2.5e-4)
     tf = grid_ref.tf
     ref = thermo_report(closed_form_trajectory(sys1, pulse, grid_ref)).W1
@@ -129,7 +129,7 @@ def test_work_value_converges_with_step(sys1):
 
 def test_zero_coupling_run_is_thermodynamically_silent(sys1):
     system = dataclasses.replace(sys1, g=0.0)
-    pulse = make_pulse(1.0, 100.0, system)
+    pulse = make_pulse(1.0)
     traj = integrate_psi(system, pulse, uniform_grid(10.0, 1e-3))
     rep = thermo_report(traj)
     assert rep.W1 == 0.0 and rep.Q1 == 0.0 and rep.dU == 0.0
@@ -145,7 +145,7 @@ def test_residuals_are_step_independent(delta, deltaL, step):
     """The three decomposition residuals check quadrature consistency,
     so they sit at rounding level even on deliberately coarse grids."""
     system = make_system()
-    pulse = make_pulse(delta, 100.0 + deltaL, system)
+    pulse = make_pulse(delta, deltaL)
     traj = closed_form_trajectory(system, pulse, uniform_grid(30.0, step))
     rep = thermo_report(traj, allow_partial=True)
     assert abs(rep.residual_first_law) < 1e-10
@@ -161,7 +161,7 @@ def test_end_corrected_rule_is_exact_on_polynomials(sys1, n, degree):
     # the fourth differences is exact up to degree 5, cubics included.
     grid = TimeGrid(n=n, spacing=0.37)
     t = grid.times()
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     m = energy_moments(grid, sys1, pulse, np.zeros(n, complex), population=t**degree)
     exact = grid.tf ** (degree + 1) / (degree + 1)
     assert m[1:] == (0.0, 0.0, 0.0)
@@ -169,7 +169,7 @@ def test_end_corrected_rule_is_exact_on_polynomials(sys1, n, degree):
 
 
 def test_grids_shorter_than_eight_samples_are_refused(sys1):
-    pulse = make_pulse(1.0, 100.0, sys1)
+    pulse = make_pulse(1.0)
     with pytest.raises(ValueError, match="at least 8"):
         energy_moments(TimeGrid(n=7, spacing=0.1), sys1, pulse, np.zeros(7, complex))
     traj = closed_form_trajectory(sys1, pulse, TimeGrid(n=7, spacing=0.1))

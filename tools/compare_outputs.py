@@ -11,8 +11,11 @@ first BASE_TREE, then this repository.  Per workload and seed it reports
 whether the exit statuses match, the stdout lines that differ (the
 ``wrote <path>`` lines left out), and for each CSV written whether it is
 byte-identical, or else the largest relative difference
-|a - b| / max(|a|, |b|) in each column.  It exits with status 1 when an exit status, a CSV's name, a
-header or a row count differs.
+|a - b| / max(|a|, |b|) in each column; a column that differs also gets
+its largest absolute difference and its largest magnitude, so a change
+of a sample near zero is not read as a change of the column.  It exits
+with status 1 when an exit status, a CSV's name, a header or a row
+count differs.
 
 Outputs go to a temporary directory, removed afterwards, and no
 bytecode is written, so neither tree is written to.
@@ -50,7 +53,8 @@ def run_cli(tree: Path, config_text: str, workdir: Path):
 
 
 def column_differences(base: Path, new: Path):
-    """(problem or None, {column: largest relative difference})."""
+    """(problem or None, {column: (largest relative difference, largest
+    absolute difference, largest magnitude)})."""
     with open(base) as fa, open(new) as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if rows_a[0] != rows_b[0]:
@@ -59,11 +63,17 @@ def column_differences(base: Path, new: Path):
         return f"{len(rows_a) - 1} rows != {len(rows_b) - 1}", {}
     a = np.array(rows_a[1:], dtype=float).reshape(-1, len(rows_a[0]))
     b = np.array(rows_b[1:], dtype=float).reshape(a.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    rel = np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel))
-    return None, dict(zip(rows_a[0], np.max(rel, axis=0, initial=0.0).tolist()))
+    size = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, gap / size)
+    gap, rel = (np.where(np.isnan(x), np.inf, x) for x in (gap, rel))
+    stats = (
+        np.max(x, axis=0, initial=0.0).tolist()
+        for x in (rel, gap, np.where(np.isnan(size), 0.0, size))
+    )
+    return None, dict(zip(rows_a[0], zip(*stats)))
 
 
 def compare(base_tree: Path, name: str, config_text: str, scratch: Path) -> bool:
@@ -87,7 +97,10 @@ def compare(base_tree: Path, name: str, config_text: str, scratch: Path) -> bool
             ok = False
             print(f"  {csv_name}: {problem}")
         else:
-            print(f"  {csv_name}: " + ", ".join(f"{c} {r:.2g}" for c, r in rel.items()))
+            print(f"  {csv_name}: " + ", ".join(
+                f"{c} {r:.2g}" + (f" (abs {g:.2g} of {m:.2g})" if r else "")
+                for c, (r, g, m) in rel.items()
+            ))
     return ok
 
 
