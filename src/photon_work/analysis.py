@@ -10,9 +10,10 @@ coherent-drive counterpart in the narrowband low-excitation regime:
 The photon's side is grid-free (``thermo.photon_report`` and
 ``dynamics.peak_population``).  All three drive-side values come from the
 time-domain work decomposition of the Bloch pair driven by the same
-envelope (``semiclassical.work_total_and_decomposition``): RK4 on the
-full cycle cut at 80/gamma0, and past the cut the exact series in the
-envelope that the pair follows once its transient has died out.
+envelope (``semiclassical.work_total_and_decomposition``): exact step
+maps on the full cycle cut at 80/gamma0, and past the cut the exact
+series in the envelope that the pair follows once its transient has died
+out.
 In the low-excitation regime the coherence tracks the quantum amplitude
 pointwise, so the paired integrals converge as the bandwidth shrinks.
 (The semiclassical module's linear-response ``work_reactive`` and
@@ -102,10 +103,11 @@ def _rel_err(a: float, b: float) -> float:
 def compare_equivalences(system: SystemParams, pulse: PulseParams) -> EquivalenceReport:
     """Run both pipelines over a full cycle and compare the three pairs.
 
-    The drive runs RK4 on :func:`semiclassical.head_grid`, the cycle at
-    the library's default tolerance and step cut at 80/gamma0, and the
-    series covers the rest of a cut cycle; the photon's side has no grid.
-    Neither side takes a setting.
+    The drive runs exact step maps on :func:`semiclassical.head_grid`,
+    the cycle at the library's default tolerance cut at 80/gamma0, at
+    the spacing its quadrature needs, and the series covers the rest of a
+    cut cycle; the photon's side has no grid.  Neither side takes a
+    setting.
     """
     rep = photon_report(system, pulse)
     max_pop_q = peak_population(system, pulse)

@@ -3,16 +3,18 @@
 One config describes one run mode:
 
     single          full-cycle trajectory + energy summary (grid-free)
-    detuning_scan   thermo functionals over a laser-detuning sweep (grid-free;
-                    step and cycle_tol have no effect)
+    detuning_scan   thermo functionals over a laser-detuning sweep (grid-free)
     bandwidth_scan  quantum/semiclassical comparison over bandwidths (the
                     drive's head ends at 80/gamma0, or at the full-cycle
                     horizon of the default tolerance where delta > 0.9
-                    gamma0, at the default step: step and cycle_tol have
-                    no effect)
+                    gamma0, at a spacing of its own)
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
                     sampled at the requested step
+
+step and cycle_tol have no effect in detuning_scan, bandwidth_scan and
+equivalence, nor cycle_tol in oracle_check: a config that sets one there
+gets a note on stderr naming the key and its line, and runs as without it.
 
 Numbers are serialized with 17 significant digits (lossless float64
 round trip) and LF line endings, so identical configs give byte-identical
@@ -117,6 +119,14 @@ _LIMITS = {
     "delta_values": (lambda v: not any(d <= 0 for d in v), "must be positive"),
 }
 
+# Keys that a mode never reads.
+_NO_EFFECT = {
+    "detuning_scan": ("step", "cycle_tol"),
+    "bandwidth_scan": ("step", "cycle_tol"),
+    "equivalence": ("step", "cycle_tol"),
+    "oracle_check": ("cycle_tol",),
+}
+
 # Criterion 4: the oracle's |psi| within this of the closed form.
 ORACLE_ABS_TOL = 1e-2
 
@@ -145,6 +155,7 @@ def parse_config(text: str) -> RunConfig:
     skipped.  Unknown or duplicate keys, unparsable or non-finite
     values, and constraint violations all raise ValueError naming the
     offending line.  Empty text yields the all-defaults resonant single run.
+    A key that the mode never reads gets one note on stderr.
     """
     values: dict = {}
     lines: dict[str, int] = {}
@@ -178,6 +189,10 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         key = str(exc).split()[0]
         raise ValueError(_with_line(str(exc), lines.get(key))) from None
+    for key in _NO_EFFECT.get(config.mode, ()):
+        if key in lines:
+            note = f"note: {key} has no effect in mode={config.mode}"
+            print(_with_line(note, lines[key]), file=sys.stderr)
     return config
 
 

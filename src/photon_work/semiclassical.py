@@ -8,23 +8,27 @@ pair (rotating frame at omega0, s = rho_eg e^{i omega0 t}):
     d(rho_ee)/dt = -gamma0 rho_ee - 2 g Re[alpha~(t) s*]
 
 The pair is linear in y = (Re s, Im s, rho_ee) with a known drive,
-y' = A(t) y + b(t), so one classic RK4 step is exactly an affine map
-y -> P y + q built from the drive at t, t + h/2 and t + h.  With
-u = 2 g alpha~ = a e^{i theta}, step k's drive there is
-u_k (1, e^{-beta h/2}, e^{-beta h}), beta = delta/2 + i deltaL, and the
+y' = A(t) y + b(t), so its exact flow over one step is an affine map
+y -> P y + q.  With u = 2 g alpha~ = a e^{i theta}, step k's drive is
+u_k e^{-beta tau}, 0 <= tau <= h, beta = delta/2 + i deltaL, and the
 pair commutes with rotations R(theta) of the coherence, so the step's
-map is I + R(theta_k) D(a_k) R(theta_k)^T with D a quartic in a_k whose
-coefficients come once per run from RK4 on polynomials.
+map is I + R(theta_k) D(a_k) R(theta_k)^T.  D(a) is the Dyson series
+of the step in the drive's modulus, cut after a^6; its coefficients
+come once per run from one matrix exponential (Van Loan, IEEE TAC
+23(3), 1978; Hochbruck & Ostermann, Acta Numerica 19, 2010).  The first
+dropped term is about (a h)^7 / 7!, with no gamma0, delta or deltaL in
+it, so the steps are exact in time to rounding at a head's spacing.
 ``integrate_bloch`` builds a fixed-size chunk of these maps from one exp,
 one cos/sin pair and one product with those coefficients, and composes
 them by a blocked two-level prefix scan of stacked 4 x 4 matmuls
 (Blelloch, "Prefix Sums and Their Applications", CMU-CS-90-190, 1990),
-carrying the last state into the next chunk.  It is the RK4 arithmetic
-in another order, so results agree with step-by-step RK4 to rounding,
-not bitwise.
+carrying the last state into the next chunk.  The scan applies the
+maps in another order than a step-by-step loop, so the two agree to
+rounding, not bitwise.
 
-A drive run needs RK4 only on a head: the full-cycle grid cut at
-T = 80/gamma0 (:func:`head_grid`).  In the laser frame
+A drive run integrates only a head: the full-cycle grid cut at
+T = 80/gamma0 (:func:`head_grid`), at the spacing the moments'
+quadrature needs.  In the laser frame
 sigma = s e^{i deltaL t}, with x = e^{-delta t/2} and F = g alpha~(0),
 the pair reads y' = L y + F x (M y + e) for
 y = (Re sigma, Im sigma, rho_ee), with
@@ -50,8 +54,8 @@ integral_T^inf x^k dt = 2 x_T^k / (k delta).  The series stops before
 the orders near resonance, where a denominator vanishes (k delta =
 gamma0 at deltaL = 0, or 2 gamma0); where delta > 0.9 gamma0 it is
 empty.  A head that ends before T is a whole cycle and has no tail.
-The split residual |y_RK4(T) - y_p(T)| measures the transient left at T
-plus the head's error.
+The split residual |y_head(T) - y_p(T)| measures the transient left at
+T plus the head's error.
 
 The work received from the drive, W_alpha = integral Tr[rho_s dH/dt] dt,
 splits exactly into three pieces by writing rho_eg = R e^{i theta}:
@@ -163,53 +167,98 @@ _TAIL_NODES = 60
 # two threads that race there only compute the same rule twice.
 _tail_rule = None
 
-# Steps per scan chunk.  Bounds the scan's working memory (about 400 bytes
-# a step: the 4 x 4 maps, the 11 functions they are built from, and the
+# Steps per scan chunk.  Bounds the scan's working memory (about 500 bytes
+# a step: the 4 x 4 maps, the 16 functions they are built from, and the
 # states) whatever the grid length; blocks are isqrt(_CHUNK) steps.
 _CHUNK = 1 << 14
 
+# Powers of the drive's modulus kept in a step map.  The first dropped
+# term is about (a h)^7 / 7!: 1e-21 at the largest a h of a matched
+# drive's head, 0.0035 (at delta = gamma0).
+_ORDER = 6
+# Head spacing in units of 1 / (gamma0 + delta): what the end-corrected
+# trapezoid moments need once the steps are exact.
+_HEAD_STEP = 0.005
 
-def _step_coefficients(h, gamma0, decay):
-    """Coefficients of the map of one classic RK4 step of the Bloch pair.
+
+def _expm1(a):
+    """e^a - I of a square matrix: an 18-term Taylor series of a / 2^s,
+    with s the least that brings its 1-norm to 1/2 (remainder below 1e-21
+    there), squared back s times as E -> 2E + E^2, so that small entries
+    never pass through I."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    eye = np.eye(len(a))
+    e = eye + a / 18.0
+    for k in range(17, 1, -1):
+        e = eye + (a / k) @ e
+    e = a @ e
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def _dyson_terms(h, gamma0, delta, deltaL, order):
+    """Coefficients D_0 .. D_order of the map I + sum_j a^j D_j of one
+    step, at drive phase 0, in the augmented layout (x, y, p, w), w = 1.
 
     With y = (Re s, Im s, rho_ee) and u = 2 g alpha~, the pair reads
     y' = A y + b with A = [[-gamma0/2, 0, Re u], [0, -gamma0/2, Im u],
-    [-Re u, -Im u, -gamma0]] and b = -(Re u, Im u, 0)/2.  Take a step
-    whose drive is u (1, e^{-decay h/2}, e^{-decay h}) at t, t + h/2 and
-    t + h, with u = a e^{i theta}.  At theta = 0 its augmented map (on
-    x, y, p and the unit drive w) is I + D(a), D(a) = sum_j a^j D_j: the
-    RK4 stages run on polynomials in a, with the augmented identity as
-    the state.  The pair commutes with rotations R(theta) of the
-    coherence, so at any theta the map is I + R(theta) D(a) R(theta)^T.
-    The rotation turns the part of D_j of charge q (0, 1 or 2) by
-    q theta, and a^j e^{i q theta} = r^n u^q with r = a^2 and
-    j = q + 2n, so R D R^T is linear in the 11 functions
-    (1, r, r^2, Re u, Im u, r Re u, r Im u, Re u^2, Im u^2, r Re u^2,
-    r Im u^2).  Returns their coefficients, shape (11, 16): row k is the
-    4 x 4 coefficient of function k, row by row, with a zero last row.
+    [-Re u, -Im u, -gamma0]] and b = -(Re u, Im u, 0)/2.  Over a step
+    the drive is a e^{-(delta/2 + i deltaL) tau}, 0 <= tau <= h.  In the
+    laser frame sigma = s e^{i deltaL tau} the generator is
+    L + a e^{-delta tau/2} K, with L = [[-gamma0/2, -deltaL, 0, 0],
+    [deltaL, -gamma0/2, 0, 0], [0, 0, -gamma0, 0], 0] and K the Re u part
+    of A and b, so the map is the Dyson series Phi(a) = sum_j a^j Phi_j(h).
+    Psi_j = e^{j delta tau/2} Phi_j solve the constant block-bidiagonal
+    system Psi_j' = (L + j delta/2) Psi_j + K Psi_{j-1}, Psi_0(0) = I, so
+    the first block column of one exponential of its generator at h holds
+    every Psi_j(h) (Van Loan, IEEE TAC 23(3), 1978).  Back in the omega0
+    frame D_j = R(-deltaL h) Phi_j(h), and D_0 = R(-deltaL h) e^{L h} - I
+    = diag(expm1(-gamma0 h/2), expm1(-gamma0 h/2), expm1(-gamma0 h), 0)
+    is set exactly.  Returns shape (order + 1, 4, 4).
     """
-    lin = np.diag([-0.5 * gamma0, -0.5 * gamma0, -gamma0, 0.0])
-    # Generator parts of Re u and Im u; the drive's -1/2 is in column w.
+    lin = np.array(
+        [
+            [-0.5 * gamma0, -deltaL, 0.0, 0.0],
+            [deltaL, -0.5 * gamma0, 0.0, 0.0],
+            [0.0, 0.0, -gamma0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    # Generator part of Re u; the drive's -1/2 is in column w.
     re_u = np.array([[0, 0, 1, -0.5], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
-    im_u = np.array([[0, 0, 0, 0], [0, 0, 1, -0.5], [0, -1, 0, 0], [0, 0, 0, 0]])
-    drive = [
-        z.real * re_u + z.imag * im_u
-        for z in (1.0, cmath.exp(-0.5 * decay * h), cmath.exp(-decay * h))
-    ]
+    j = np.arange(order + 1)
+    gen = (
+        np.kron(np.eye(order + 1), lin)
+        + np.kron(np.diag(0.5 * delta * j), np.eye(4))
+        + np.kron(np.eye(order + 1, k=-1), re_u)
+    )
+    psi = _expm1(h * gen)[:, :4].reshape(order + 1, 4, 4)
+    c, s = math.cos(deltaL * h), math.sin(deltaL * h)
+    rot = np.array([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    decay = np.exp(-0.5 * delta * h * j)
+    d = decay[:, None, None] * (rot @ psi)
+    d[0] = np.diag([math.expm1(-0.5 * gamma0 * h)] * 2 + [math.expm1(-gamma0 * h), 0.0])
+    return d
 
-    def deriv(y, stage):
-        # y[j] is the a^j coefficient; the drive raises the power by one.
-        out = lin @ y
-        out[1:] += drive[stage] @ y[:-1]
-        return out
 
-    y0 = np.zeros((5, 4, 4))
-    y0[0] = np.eye(4)
-    k1 = deriv(y0, 0)
-    k2 = deriv(y0 + 0.5 * h * k1, 1)
-    k3 = deriv(y0 + 0.5 * h * k2, 1)
-    k4 = deriv(y0 + h * k3, 2)
-    d = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _step_coefficients(h, gamma0, delta, deltaL):
+    """Coefficients of the exact map of one step of the Bloch pair.
+
+    A step whose drive starts at u = a e^{i theta} has the augmented map
+    I + R(theta) D(a) R(theta)^T, D(a) = sum_j a^j D_j the Dyson series
+    of :func:`_dyson_terms` cut after a^6: the pair commutes with
+    rotations R(theta) of the coherence.  The rotation turns the part of
+    D_j of charge q (0, 1 or 2) by q theta, and a^j e^{i q theta} =
+    r^n u^q with r = a^2 and j = q + 2n, so R D R^T is linear in the 16
+    functions r^n (n = 0 .. 3) and r^n Re u, r^n Im u, r^n Re u^2,
+    r^n Im u^2 (n = 0 .. 2), in that order.  Returns their coefficients,
+    shape (16, 16): row k is the 4 x 4 coefficient of function k, row by
+    row, with a zero last row.
+    """
+    d = _dyson_terms(h, gamma0, delta, deltaL, _ORDER)
 
     # R(theta) = P + e^{i theta} E + e^{-i theta} conj(E), so the part of
     # D_j of charge q is C_q = sum of A D_j B^T over the parts A, B whose
@@ -221,31 +270,29 @@ def _step_coefficients(h, gamma0, decay):
     def charge(dj, q):
         return sum(a @ dj @ b.T for qa, a in parts for qb, b in parts if qa + qb == q)
 
-    coeffs = np.empty((11, 4, 4))
-    coeffs[:3] = [charge(dj, 0).real for dj in d[0::2]]
+    rows = [charge(dj, 0).real for dj in d[0::2]]
     # 2 Re(r^n u^q C_q) = 2 r^n (Re u^q Re C_q - Im u^q Im C_q).
-    for q, row in ((1, 3), (2, 7)):
-        for n, dj in enumerate(d[q::2]):
-            c = 2.0 * charge(dj, q)
-            coeffs[row + 2 * n] = c.real
-            coeffs[row + 2 * n + 1] = -c.imag
-    return coeffs.reshape(11, 16)
+    for q in (1, 2):
+        c = [2.0 * charge(dj, q) for dj in d[q::2]]
+        rows += [cj.real for cj in c] + [-cj.imag for cj in c]
+    return np.reshape(rows, (16, 16))
 
 
 def _step_maps(coeffs, a, theta):
-    """Augmented RK4 maps of steps whose drive at t is a e^{i theta}.
+    """Augmented maps of steps whose drive at t is a e^{i theta}.
 
-    The product of the 11 functions of :func:`_step_coefficients` with
+    The product of the 16 functions of :func:`_step_coefficients` with
     ``coeffs`` is R(theta) D(a) R(theta)^T, in the maps' layout.  The
     identity is added last: folded into the coefficients, the rounding
     of 1 + D would repeat at every step.  ``a`` and ``theta`` share a
     2-D shape S; returns S + (4, 4), last row (0, 0, 0, 1).
     """
     r = a * a
+    powers = np.stack((np.ones_like(a), r, r * r, r * r * r))
     re, im = a * np.cos(theta), a * np.sin(theta)
-    re2, im2 = re * re - im * im, 2.0 * re * im
-    funcs = np.stack(
-        (np.ones_like(a), r, r * r, re, im, r * re, r * im, re2, im2, r * re2, r * im2)
+    low = powers[:3]
+    funcs = np.concatenate(
+        (powers, low * re, low * im, low * (re * re - im * im), low * (2.0 * re * im))
     )
     # One small product per row of S: a single product over the chunk
     # would be large enough for BLAS to put a second thread on it.
@@ -284,16 +331,18 @@ def integrate_bloch(
     grid: TimeGrid,
     amplitude_scale: float = 1.0,
 ) -> BlochTrajectory:
-    """Integrate the full nonlinear Bloch pair with classic RK4.
+    """Integrate the full nonlinear Bloch pair with exact step maps.
 
-    Each RK4 step is exactly an affine map of the state: I plus the
-    rotation by the drive's phase of a quartic in its modulus (module
+    Each step's map is I plus the rotation by the drive's phase of the
+    step's Dyson series in the drive's modulus, cut after a^6 (module
     docstring).  A chunk's maps take one exp, one cos/sin pair and one
-    product with the quartic's coefficients, built once per run, in the
+    product with the series' coefficients, built once per run, in the
     scan's block order; a blocked two-level scan of stacked matmuls
-    composes them, and the last state carries into the next chunk.  This
-    is the arithmetic of step-by-step RK4 in another order: results agree
-    with it to rounding, not bitwise.
+    composes them, and the last state carries into the next chunk.  The
+    result agrees with the same maps applied step by step to rounding,
+    not bitwise, and with the exact solution to rounding wherever
+    (a h)^7 / 7! is below it (a the drive's peak modulus,
+    2 g N amplitude_scale).
 
     Parameters
     ----------
@@ -310,7 +359,7 @@ def integrate_bloch(
     h = grid.spacing
     check_step(h, system, pulse)
     n = grid.n
-    coeffs = _step_coefficients(h, system.gamma0, complex(0.5 * pulse.delta, pulse.deltaL))
+    coeffs = _step_coefficients(h, system.gamma0, pulse.delta, pulse.deltaL)
     amp = 2.0 * system.g * amplitude_scale * normalization(system, pulse)
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
@@ -339,15 +388,21 @@ def integrate_bloch(
 
 def head_grid(system: SystemParams, pulse: PulseParams) -> TimeGrid:
     """Grid of the head of a drive run: ``dynamics.full_cycle_grid`` at
-    its defaults cut at ``HEAD_LENGTH / gamma0``.
+    its default tolerance, capped at ``0.005 / (gamma0 + delta)``, cut at
+    ``HEAD_LENGTH / gamma0``.
 
-    The spacing is the library's default ``min(1e-3, 0.02 / rate)``: the
-    head relies on that 1e-3 cap, since Q_alpha's RK4 error on the head
-    needs it.  A cut grid ends at HEAD_LENGTH / gamma0 whatever the
+    The steps are exact, so the spacing serves only the end-corrected
+    trapezoid moments, whose error grows with the drive's decay rate
+    delta/2 on top of gamma0: a flat 0.005 cap put W_reac 1.2e-11 off a
+    tight reference at (delta, deltaL) = (2, 0.5).  The library's
+    ``0.02 / rate`` is finer where |deltaL| > 4 (gamma0 + delta), and
+    rules there.  A cut grid ends at HEAD_LENGTH / gamma0 whatever the
     bandwidth, and :func:`work_total_and_decomposition` adds the series
     tail for the rest of the cycle; an uncut one is the whole cycle.
     """
-    cycle = full_cycle_grid(system, pulse)
+    cycle = full_cycle_grid(
+        system, pulse, max_step=_HEAD_STEP / (system.gamma0 + pulse.delta)
+    )
     return uniform_grid(min(HEAD_LENGTH / system.gamma0, cycle.tf), cycle.spacing)
 
 
@@ -493,7 +548,7 @@ def work_total_and_decomposition(traj: BlochTrajectory) -> SemiclassicalReport:
     A grid that reaches ``HEAD_LENGTH / gamma0`` (such as a cut
     :func:`head_grid`) is a head: the series of the module docstring adds
     the moments of [T, inf), T the grid's end, and ``split_residual`` is
-    |y_RK4(T) - y_p(T)|, the transient left at T plus the head's error.
+    |y_head(T) - y_p(T)|, the transient left at T plus the head's error.
     The series must start below the head's largest rho_ee, so that the
     head holds the run's peak population; for delta > 0.9 gamma0 it is
     empty.  A shorter grid must be a full cycle; ``split_residual`` is

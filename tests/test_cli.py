@@ -378,14 +378,31 @@ def test_single_mode_default_step_is_the_library_default(workdir, capsys):
     ],
     ids=["detuning_scan", "equivalence"],
 )
-def test_detuning_mode_ignores_step_and_cycle_tol(workdir, base, keys, artifact, rows):
-    # The sweep is grid-free and the drive's head takes the library's
-    # defaults: both keys are accepted and change nothing.
+def test_detuning_mode_ignores_step_and_cycle_tol(workdir, capsys, base, keys, artifact, rows):
+    # The sweep is grid-free and the drive's head takes a spacing of its
+    # own: both keys are accepted, change nothing on stdout or in the CSV,
+    # and each gets one note on stderr.
     assert main([_write(workdir, base + "out=plain\n", "a.txt")]) == 0
+    plain_out = capsys.readouterr()
     assert main([_write(workdir, base + keys + "out=keyed\n", "b.txt")]) == 0
+    keyed_out = capsys.readouterr()
     plain = (workdir / f"plain_{artifact}.csv").read_bytes()
     assert (workdir / f"keyed_{artifact}.csv").read_bytes() == plain
     assert len(plain.splitlines()) == rows + 1
+    mode = base.split("\n")[0].split("=")[1]
+    assert plain_out.err == ""
+    assert keyed_out.err.splitlines() == [
+        f"note: step has no effect in mode={mode} (line 4)",
+        f"note: cycle_tol has no effect in mode={mode} (line 5)",
+    ]
+    assert keyed_out.out.replace("keyed", "plain") == plain_out.out
+
+
+def test_oracle_mode_notes_cycle_tol(workdir, capsys):
+    cfg = _write(workdir, "mode=oracle_check\nn_modes=201\nt_max=0.5\ncycle_tol=1e-9\n")
+    assert main([cfg]) == 0
+    err = capsys.readouterr().err
+    assert err == "note: cycle_tol has no effect in mode=oracle_check (line 4)\n"
 
 
 def test_oversized_grid_exits_1_with_a_message(workdir, capsys):
@@ -531,3 +548,32 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "mode=bandwidth_scan\ndelta_values=0.1,0.01\ndeltaL=0.2\n",
+        "mode=equivalence\ndelta=1.0\ndeltaL=-0.5\n",
+    ],
+    ids=["bandwidth_scan", "equivalence"],
+)
+def test_drive_modes_run_without_scipy(workdir, config):
+    # The import check above cannot see a function that imports scipy
+    # when it runs, so the drive's whole path runs here, head and tail.
+    code = (
+        "import sys\n"
+        "from photon_work.cli import main\n"
+        "assert main([sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(photon_work.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code, _write(workdir, config)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -17,9 +17,13 @@ from photon_work.model import TimeGrid, make_pulse, make_system, uniform_grid
 from photon_work.pulse import envelope_at, normalization
 from photon_work.semiclassical import (
     _CHUNK,
+    _ORDER,
     HEAD_LENGTH,
     BlochTrajectory,
+    _dyson_terms,
     _series,
+    _step_coefficients,
+    _step_maps,
     head_grid,
     integrate_bloch,
     susceptibility,
@@ -80,75 +84,41 @@ def test_matching_improves_for_narrower_bandwidth(sys1):
     assert np.max(np.abs(bt.rho_eg - psi)) < 1e-3
 
 
-# Scalar step-by-step RK4 of the Bloch pair: the reference that the blocked
-# scan of integrate_bloch must reproduce to rounding.
-def _bloch_loop(n, h, t0, gamma0, g, amp, dec_re, dec_im, rho_eg, rho_ee, alpha):
-    half = 0.5 * gamma0
-    s = 0.0 + 0.0j
-    pp = 0.0
-    for m in range(n - 1):
-        t = t0 + m * h
-        th = t + 0.5 * h
-        t1 = t + h
-        if t < 0.0:
-            a0 = 0.0 + 0.0j
-        else:
-            e = amp * math.exp(-dec_re * t)
-            a0 = complex(e * math.cos(dec_im * t), -e * math.sin(dec_im * t))
-        if th < 0.0:
-            ah = 0.0 + 0.0j
-        else:
-            e = amp * math.exp(-dec_re * th)
-            ah = complex(e * math.cos(dec_im * th), -e * math.sin(dec_im * th))
-        if t1 < 0.0:
-            a1 = 0.0 + 0.0j
-        else:
-            e = amp * math.exp(-dec_re * t1)
-            a1 = complex(e * math.cos(dec_im * t1), -e * math.sin(dec_im * t1))
-        alpha[m] = a0
-
-        k1s = -half * s - g * a0 * (1.0 - 2.0 * pp)
-        k1p = -gamma0 * pp - 2.0 * g * (a0.real * s.real + a0.imag * s.imag)
-
-        s2 = s + 0.5 * h * k1s
-        p2 = pp + 0.5 * h * k1p
-        k2s = -half * s2 - g * ah * (1.0 - 2.0 * p2)
-        k2p = -gamma0 * p2 - 2.0 * g * (ah.real * s2.real + ah.imag * s2.imag)
-
-        s3 = s + 0.5 * h * k2s
-        p3 = pp + 0.5 * h * k2p
-        k3s = -half * s3 - g * ah * (1.0 - 2.0 * p3)
-        k3p = -gamma0 * p3 - 2.0 * g * (ah.real * s3.real + ah.imag * s3.imag)
-
-        s4 = s + h * k3s
-        p4 = pp + h * k3p
-        k4s = -half * s4 - g * a1 * (1.0 - 2.0 * p4)
-        k4p = -gamma0 * p4 - 2.0 * g * (a1.real * s4.real + a1.imag * s4.imag)
-
-        s = s + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        pp = pp + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        rho_eg[m + 1] = s
-        rho_ee[m + 1] = pp
-        alpha[m + 1] = a1
-    if n == 1:
-        t = t0
-        if t < 0.0:
-            alpha[0] = 0.0 + 0.0j
-        else:
-            e = amp * math.exp(-dec_re * t)
-            alpha[0] = complex(e * math.cos(dec_im * t), -e * math.sin(dec_im * t))
+def _series_maps(terms, a, theta):
+    """Maps I + R(theta) (sum_j a^j D_j) R(theta)^T of steps whose drive
+    starts at a e^{i theta}, summed straight from the Dyson terms D_j;
+    ``a`` and ``theta`` are 1-D."""
+    series = np.moveaxis(np.polynomial.polynomial.polyval(a, terms), -1, 0)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.zeros(theta.shape + (4, 4))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+    rot[:, 2, 2] = rot[:, 3, 3] = 1.0
+    return np.eye(4) + rot @ series @ np.swapaxes(rot, -1, -2)
 
 
-def _bloch_reference(system, pulse, grid, amplitude_scale):
-    """Step-by-step scalar RK4 of the Bloch pair: rho_eg, rho_ee, alpha."""
-    n = grid.n
-    out = (np.zeros(n, complex), np.zeros(n), np.zeros(n, complex))
-    amp = amplitude_scale * normalization(system, pulse)
-    dec_re = 0.5 * pulse.delta
-    dec_im = pulse.deltaL
-    h = grid.spacing
-    _bloch_loop(n, h, 0.0, system.gamma0, system.g, amp, dec_re, dec_im, *out)
-    return out
+# Steps per batch of reference maps: bounds the reference's memory.
+_BATCH = 4096
+
+
+def _maps_reference(system, pulse, grid, amplitude_scale):
+    """rho_eg, rho_ee and the drive of the Bloch pair, by the step maps
+    of ``integrate_bloch`` built from their Dyson terms (no charge split)
+    and applied one step at a time in a scalar loop."""
+    h, n = grid.spacing, grid.n
+    terms = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _ORDER)
+    t = grid.times()
+    peak = amplitude_scale * normalization(system, pulse)
+    drive = peak * np.exp(-complex(0.5 * pulse.delta, pulse.deltaL) * t)
+    amp = 2.0 * system.g * peak
+    rho_eg, rho_ee = np.zeros(n, complex), np.zeros(n)
+    x = y = p = 0.0
+    for lo in range(0, n - 1, _BATCH):
+        tk = t[lo : min(lo + _BATCH, n - 1)]
+        maps = _series_maps(terms, amp * np.exp(-0.5 * pulse.delta * tk), -pulse.deltaL * tk)
+        for m, rows in enumerate(maps[:, :3].tolist(), start=lo + 1):
+            x, y, p = (r[0] * x + r[1] * y + r[2] * p + r[3] for r in rows)
+            rho_eg[m], rho_ee[m] = complex(x, y), p
+    return rho_eg, rho_ee, drive
 
 
 @pytest.mark.parametrize(
@@ -178,12 +148,13 @@ def _bloch_reference(system, pulse, grid, amplitude_scale):
         "head-narrowest",
     ],
 )
-def test_scan_matches_step_by_step_rk4(sys1, delta, deltaL, scale, steps, tol):
-    """The blocked affine scan reproduces scalar RK4 to rounding: each
-    array within ``tol`` of its largest magnitude.  The heads (80,001
-    samples at h = 1e-3) catch rounding that repeats at every step: with
+def test_scan_matches_step_by_step_maps(sys1, delta, deltaL, scale, steps, tol):
+    """The blocked affine scan, with maps from the 16 charge-split
+    functions, reproduces a scalar loop over maps summed straight from
+    the Dyson terms to rounding: each array within ``tol`` of its largest
+    magnitude.  The heads catch rounding that repeats at every step: with
     the identity folded into the step maps' coefficients, rho_eg sat
-    2.6e-14 to 4.4e-14 off on them, and within 1e-13 on the rest."""
+    3.7e-14 off on the narrowest head, and within 5e-15 here."""
     pulse = make_pulse(delta, deltaL)
     h = 1e-2
     if steps == "head":
@@ -193,7 +164,7 @@ def test_scan_matches_step_by_step_rk4(sys1, delta, deltaL, scale, steps, tol):
     else:
         grid = TimeGrid(n=steps + 1, spacing=h)
     bt = integrate_bloch(sys1, pulse, grid, amplitude_scale=scale)
-    ref = _bloch_reference(sys1, pulse, grid, scale)
+    ref = _maps_reference(sys1, pulse, grid, scale)
     drive = bt.amplitude_scale * envelope_at(sys1, pulse, grid.times())
     for got, want in zip((bt.rho_eg, bt.rho_ee, drive), ref):
         assert got.shape == want.shape
@@ -202,9 +173,72 @@ def test_scan_matches_step_by_step_rk4(sys1, delta, deltaL, scale, steps, tol):
         assert ref[1].max() > 0.3
 
 
+def _dop853_states(system, pulse, times, amplitude_scale):
+    """rho_eg and rho_ee of the Bloch pair at ``times`` by DOP853 at
+    rtol 1e-13, atol 1e-17.  The work accumulators of
+    :func:`_dop853_drive_work` stay out: they join the step control's
+    error norm and put the strong drive's rho_eg 1.9e-13 off, not 4e-14."""
+    g, gamma0 = system.g, system.gamma0
+    n = amplitude_scale * normalization(system, pulse)
+    b = complex(0.5 * pulse.delta, pulse.deltaL)
+
+    def rates(t, y):
+        s = complex(y[0], y[1])
+        alpha = n * cmath.exp(-b * t)
+        ds = -0.5 * gamma0 * s - g * alpha * (1.0 - 2.0 * y[2])
+        u = alpha * s.conjugate()
+        return [ds.real, ds.imag, -gamma0 * y[2] - 2.0 * g * u.real]
+
+    sol = solve_ivp(
+        rates,
+        (0.0, times[-1]),
+        [0.0] * 3,
+        method="DOP853",
+        t_eval=times,
+        rtol=1e-13,
+        atol=1e-17,
+    )
+    assert sol.success, sol.message
+    return sol.y[0] + 1j * sol.y[1], sol.y[2]
+
+
+@pytest.mark.parametrize(
+    "delta,deltaL,scale", [(0.3, -0.5, 1.0), (1.0, 0.0, 3.0)], ids=["detuned", "strong-drive"]
+)
+def test_head_meets_a_tight_dop853_run(sys1, delta, deltaL, scale):
+    """The steps are exact in time: at every 499th sample of the head,
+    rho_eg and rho_ee meet DOP853 within 1e-12 of each array's largest
+    magnitude, at a spacing of 0.005/(gamma0 + delta)."""
+    pulse = make_pulse(delta, deltaL)
+    grid = head_grid(sys1, pulse)
+    bt = integrate_bloch(sys1, pulse, grid, amplitude_scale=scale)
+    pick = np.arange(0, grid.n, 499)
+    rho_eg, rho_ee = _dop853_states(sys1, pulse, grid.times()[pick], scale)
+    for got, want in ((bt.rho_eg[pick], rho_eg), (bt.rho_ee[pick], rho_ee)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cut_dyson_series_is_converged(sys1):
+    """At the largest a h of any head the tests run (the strong drive:
+    scale 3 at delta = 1), the step maps of the 16 functions meet the
+    series cut after a^8 to rounding at every phase: a^7 and a^8 add
+    nothing, and the charge split loses nothing."""
+    pulse = make_pulse(1.0)
+    h = head_grid(sys1, pulse).spacing
+    a = 3.0 * 2.0 * sys1.g * normalization(sys1, pulse)
+    assert a * h > 0.01
+    coeffs = _step_coefficients(h, sys1.gamma0, pulse.delta, pulse.deltaL)
+    theta = np.linspace(-math.pi, math.pi, 9)
+    got = _step_maps(coeffs, np.full((1, 9), a), theta[None])[0]
+    terms = _dyson_terms(h, sys1.gamma0, pulse.delta, pulse.deltaL, 8)
+    want = _series_maps(terms, np.full(9, a), theta)
+    assert np.max(np.abs(got - want)) <= 2.2e-16
+    assert np.all(got[:, 3] == [0.0, 0.0, 0.0, 1.0])
+
+
 def test_scan_working_memory_is_bounded(sys1):
     """Past its two output arrays, ``integrate_bloch`` allocates at most
-    one chunk's working memory, however long the grid: 6.4 MiB at
+    one chunk's working memory, however long the grid: 7.9 MiB at
     500,000 steps, where maps for the whole grid would take 61 MiB."""
     pulse = make_pulse(0.01, 0.2)
     grid = TimeGrid(n=500_001, spacing=1e-3)
@@ -412,9 +446,11 @@ def _head_and_tail(system, pulse):
 
 
 def test_head_grid_length_is_fixed_by_gamma0(sys1):
+    # The spacing is 0.005 / (gamma0 + delta) unless the library's
+    # 0.02 / rate is finer, as at |deltaL| > 4 (gamma0 + delta).
     for delta in (0.1, 1e-3):
         grid = head_grid(sys1, make_pulse(delta, 0.2))
-        assert grid.spacing == 1e-3
+        assert grid.spacing == 0.005 / (1.0 + delta)
         assert HEAD_LENGTH <= grid.tf < HEAD_LENGTH + grid.spacing
     assert head_grid(sys1, make_pulse(0.01, 40.0)).spacing == 0.02 / 40.0
 
@@ -445,8 +481,9 @@ def test_head_grid_length_is_fixed_by_gamma0(sys1):
     ],
 )
 def test_head_and_tail_match_the_full_cycle_grid(sys1, delta, deltaL):
-    """The head and its series tail against RK4 and the end-corrected
-    trapezoid rule on a full-cycle grid of the same step, at points where
+    """The head and its series tail against the same steps and the
+    end-corrected trapezoid rule on a full-cycle grid of the library's
+    default step (1e-3 here, finer than the head's), at points where
     a series order k meets a resonance of the recurrence (k delta = gamma0
     at deltaL = 0, or 2 gamma0) or nearly does.  Every value is finite
     and the split residual is rounding noise.  The values agree to
@@ -464,12 +501,14 @@ def test_head_and_tail_match_the_full_cycle_grid(sys1, delta, deltaL):
     assert split.split_residual < 1e-14
 
 
-def _dop853_reactive_work(system, pulse):
-    """W_reac of the Bloch pair by DOP853 at rtol 1e-13, atol 1e-17: the
-    integrand <H_int> (-Re[(ds/dt) / s]) is accumulated with the state
-    (0 at s = 0), over 40 e-folds of the slower of the emitter and the
-    pulse."""
-    g, gamma0 = system.g, system.gamma0
+def _dop853_drive_work(system, pulse):
+    """W_reac, W_abs and Q_alpha of the Bloch pair by DOP853 at rtol
+    1e-13, atol 1e-17, over 40 e-folds of the slower of the emitter and
+    the pulse.  The integrands are accumulated with the state, as in the
+    benchmark's drive reference: <H_int> (-Re[(ds/dt) / s]),
+    omega_s (-2 g Re[alpha s*]) with omega_s = omega0 - Im[(ds/dt) / s]
+    (omega0 and 0 at s = 0), and -gamma0 (omega0 rho_ee + <H_int>/2)."""
+    g, gamma0, omega0 = system.g, system.gamma0, system.omega0
     n = normalization(system, pulse)
     b = complex(0.5 * pulse.delta, pulse.deltaL)
 
@@ -478,15 +517,23 @@ def _dop853_reactive_work(system, pulse):
         alpha = n * cmath.exp(-b * t)
         ds = -0.5 * gamma0 * s - g * alpha * (1.0 - 2.0 * y[2])
         u = alpha * s.conjugate()
-        reac = 2.0 * g * u.imag * -(ds / s).real if s else 0.0
-        return [ds.real, ds.imag, -gamma0 * y[2] - 2.0 * g * u.real, reac]
+        hint = 2.0 * g * u.imag
+        ratio = ds / s if s else 0.0
+        return [
+            ds.real,
+            ds.imag,
+            -gamma0 * y[2] - 2.0 * g * u.real,
+            hint * -ratio.real,
+            (omega0 - ratio.imag) * (-2.0 * g * u.real),
+            -gamma0 * (omega0 * y[2] + 0.5 * hint),
+        ]
 
     t_end = 40.0 / min(0.5 * gamma0, 0.5 * pulse.delta)
     sol = solve_ivp(
-        rates, (0.0, t_end), [0.0] * 4, method="DOP853", rtol=1e-13, atol=1e-17
+        rates, (0.0, t_end), [0.0] * 6, method="DOP853", rtol=1e-13, atol=1e-17
     )
     assert sol.success, sol.message
-    return float(sol.y[3, -1])
+    return tuple(float(v) for v in sol.y[3:, -1])
 
 
 @pytest.mark.parametrize(
@@ -498,11 +545,14 @@ def test_reactive_work_meets_a_tight_dop853_run(sys1, delta, deltaL):
     # at (1, 0.2).  Zeroing the ratio where |rho_eg|^2 sat at or below
     # 1e-12 of its peak put W_reac 2.5e-12 to 5.5e-12 off at these points.
     # The three narrowband points carry much of the pulse in the tail: at
-    # delta = 0.01, x_T = e^{-0.4}.
+    # delta = 0.01, x_T = e^{-0.4}.  W_abs and Q_alpha sat within 9e-15
+    # of the run at every point.
     pulse = make_pulse(delta, deltaL)
-    got = compare_equivalences(sys1, pulse).drive.W_reac
-    want = _dop853_reactive_work(sys1, pulse)
-    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    drive = compare_equivalences(sys1, pulse).drive
+    reac, absorbed, heat = _dop853_drive_work(sys1, pulse)
+    assert abs(drive.W_reac - reac) <= 1e-12 * abs(reac), (drive.W_reac, reac)
+    assert abs(drive.W_abs - absorbed) <= 1e-13 * abs(absorbed), (drive.W_abs, absorbed)
+    assert abs(drive.Q_alpha - heat) <= 1e-13 * abs(heat), (drive.Q_alpha, heat)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +596,7 @@ def test_no_tail_where_delta_reaches_gamma0(sys1, delta, deltaL):
     head, split = _head_and_tail(sys1, pulse)
     sigma, rho = _series(head)
     assert sigma.shape == rho.shape == (0,)
-    horizon = full_cycle_grid(sys1, pulse)
+    horizon = full_cycle_grid(sys1, pulse, max_step=0.005 / (sys1.gamma0 + delta))
     assert head.grid.tf == horizon.tf < HEAD_LENGTH
     assert head.grid.spacing == horizon.spacing
     assert split.split_residual == 0.0
