@@ -47,10 +47,10 @@ DEFAULT_CYCLE_TOL = 1e-12
 _CHUNK = 1 << 20
 
 # closed_form_psi keeps the plain difference of exponentials where
-# |a - b| t reaches this; it then loses at most four of its digits.
-_PLAIN_MIN = 1e-4
+# |a - b| t reaches this, and the exprel series below it.
+_PLAIN_MIN = 0.5
 # Taylor coefficients 1/(k+1)! of exprel: the 16th term is below 2e-18
-# for |z| < 0.5, far beyond the |z| < _PLAIN_MIN that closed_form_psi passes.
+# for |z| < _PLAIN_MIN.
 _EXPREL_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(16))
 
 # peak_population's samples per beat period (and in all, at least), its
@@ -84,8 +84,8 @@ class AmplitudeTrajectory:
 
 def _exprel(z):
     """``(e^z - 1) / z`` elementwise (1 at z = 0) by its Taylor series, with
-    both components accurate to a few ulps for |z| < 0.5; its only caller,
-    :func:`closed_form_psi`, passes |z| < _PLAIN_MIN."""
+    both components accurate to a few ulps for |z| < _PLAIN_MIN, all that
+    its only caller, :func:`closed_form_psi`, passes."""
     z = np.asarray(z, dtype=complex)
     acc = np.full_like(z, _EXPREL_COEFFS[-1])
     for c in reversed(_EXPREL_COEFFS[:-1]):
@@ -100,12 +100,13 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
 
         sqrt(gamma0 delta / 2) (e^{-a t} - e^{-b t}) / (a - b).
 
-    Where |a - b| t < 1e-4 the divided difference is evaluated as
-    ``-t e^{-b t} exprel(-(a - b) t)``, which stays accurate as a -> b and
-    gives the confluent limit ``-sqrt(gamma0 delta / 2) t e^{-b t}`` at
-    a = b (gamma0 = delta, deltaL = 0: the maximal-absorption case).
-    Elsewhere the plain difference is kept: its factors never overflow,
-    whereas ``expm1`` of (b - a) t does at delta << gamma0 on long grids.
+    Where |a - b| t < 0.5 the divided difference is evaluated as
+    ``-t e^{-b t} exprel(-(a - b) t)``, which stays accurate to a few ulps
+    as a -> b and at the first samples of every grid, and gives the
+    confluent limit ``-sqrt(gamma0 delta / 2) t e^{-b t}`` at a = b
+    (gamma0 = delta, deltaL = 0: the maximal-absorption case).  Elsewhere
+    the plain difference is kept: its factors never overflow, whereas
+    ``expm1`` of (b - a) t does at delta << gamma0 on long grids.
 
     Parameters
     ----------
@@ -124,7 +125,7 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
         out = amp * (np.exp(-a * flat) - np.exp(-b * flat)) / d
     else:
         out = np.zeros(flat.shape, dtype=complex)
-    # Both branches give 0 at t = 0, so a grid from 0 seldom needs the series.
+    # Both branches give 0 at t = 0.
     near = (abs(d) * flat < _PLAIN_MIN) & (flat > 0.0)
     if near.any():
         tn = flat[near]

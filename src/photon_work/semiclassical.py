@@ -7,40 +7,37 @@ pair (rotating frame at omega0, s = rho_eg e^{i omega0 t}):
     ds/dt = -(gamma0/2) s - g alpha~(t) (1 - 2 rho_ee)
     d(rho_ee)/dt = -gamma0 rho_ee - 2 g Re[alpha~(t) s*]
 
-The pair is linear in y = (Re s, Im s, rho_ee) with a known drive,
-y' = A(t) y + b(t), so its exact flow over one step is an affine map
-y -> P y + q.  With u = 2 g alpha~ = a e^{i theta}, step k's drive is
-u_k e^{-beta tau}, 0 <= tau <= h, beta = delta/2 + i deltaL, and the
-pair commutes with rotations R(theta) of the coherence, so the step's
-map is I + R(theta_k) D(a_k) R(theta_k)^T.  D(a) is the Dyson series
-of the step in the drive's modulus, cut after a^6; its coefficients
-come once per run from one matrix exponential (Van Loan, IEEE TAC
-23(3), 1978; Hochbruck & Ostermann, Acta Numerica 19, 2010).  The first
-dropped term is about (a h)^7 / 7!, with no gamma0, delta or deltaL in
-it, so the steps are exact in time to rounding at a head's spacing.
-``integrate_bloch`` builds a fixed-size chunk of these maps from one exp,
-one cos/sin pair and one product with those coefficients, and composes
-them by a blocked two-level prefix scan of stacked 4 x 4 matmuls
-(Blelloch, "Prefix Sums and Their Applications", CMU-CS-90-190, 1990),
-carrying the last state into the next chunk.  The scan applies the
-maps in another order than a step-by-step loop, so the two agree to
-rounding, not bitwise.
+In the laser frame sigma = s e^{i deltaL t} the drive is real: with
+x = e^{-delta t/2} and F = g alpha~(0), the pair reads
+y' = L y + F x (M y + e) for y = (Re sigma, Im sigma, rho_ee), with
+L = [[-gamma0/2, -deltaL, 0], [deltaL, -gamma0/2, 0], [0, 0, -gamma0]],
+M = [[0, 0, 2], [0, 0, 0], [-2, 0, 0]] and e = (-1, 0, 0).
+
+Over step k the drive's factor 2 F x is a_k e^{-delta tau/2},
+0 <= tau <= h, so the step's exact map is I + sum_j a_k^j Phi_j(h),
+the Dyson series in the drive's modulus, cut after a^6.  One matrix
+exponential per run gives every Phi_j (Van Loan, IEEE TAC 23(3), 1978;
+Hochbruck & Ostermann, Acta Numerica 19, 2010).  The first dropped term
+is about (a h)^7 / 7!, with no gamma0, delta or deltaL in it, so the
+steps are exact in time to rounding at a head's spacing.
+``integrate_bloch`` builds a fixed-size chunk of these maps from one exp
+and one product with the Phi_j, composes them by a blocked two-level
+prefix scan of stacked 4 x 4 matmuls (Blelloch, "Prefix Sums and Their
+Applications", CMU-CS-90-190, 1990), carries the last state into the
+next chunk and turns the chunk's states back to the omega0 frame.  The
+scan applies the maps in another order than a step-by-step loop, so the
+two agree to rounding, not bitwise.
 
 A drive run integrates only a head: the full-cycle grid cut at
 T = 80/gamma0 (:func:`head_grid`), at the spacing the moments'
-quadrature needs.  In the laser frame
-sigma = s e^{i deltaL t}, with x = e^{-delta t/2} and F = g alpha~(0),
-the pair reads y' = L y + F x (M y + e) for
-y = (Re sigma, Im sigma, rho_ee), with
-L = [[-gamma0/2, -deltaL, 0], [deltaL, -gamma0/2, 0], [0, 0, -gamma0]],
-M = [[0, 0, 2], [0, 0, 0], [-2, 0, 0]] and e = (-1, 0, 0).  The pulse
-enters only through x, and a particular solution is the series
-y_p = sum_{k>=1} c_k x^k with (-k delta/2 - L) c_1 = F e and
-(-k delta/2 - L) c_k = F M c_{k-1} (Frobenius at the regular singular
-point x = 0; Bender & Orszag, Advanced Mathematical Methods for
-Scientists and Engineers, ch. 3).  L is diagonal in (sigma, rho_ee): it
-multiplies sigma by -gamma0/2 + i deltaL and rho_ee by -gamma0, so each
-order is one complex and one real division,
+quadrature needs.  The pulse enters only through x, and a particular
+solution is the series y_p = sum_{k>=1} c_k x^k with
+(-k delta/2 - L) c_1 = F e and (-k delta/2 - L) c_k = F M c_{k-1}
+(Frobenius at the regular singular point x = 0; Bender & Orszag,
+Advanced Mathematical Methods for Scientists and Engineers, ch. 3).
+L is diagonal in (sigma, rho_ee): it multiplies sigma by
+-gamma0/2 + i deltaL and rho_ee by -gamma0, so each order is one
+complex and one real division,
 
     sigma_k = rhs_sigma / (gamma0/2 - k delta/2 - i deltaL)
     rho_k = rhs_rho / (gamma0 - k delta/2)
@@ -163,13 +160,12 @@ _ORDER_LIMIT = 0.9
 _SERIES_RTOL = 1e-17
 # Gauss-Legendre nodes of the tail's ratio moment.
 _TAIL_NODES = 60
-# Their nodes and weights, computed by the first tail (1.6 ms a rule);
-# two threads that race there only compute the same rule twice.
+# Their nodes and weights, computed by the first tail (1.6 ms a rule).
 _tail_rule = None
 
-# Steps per scan chunk.  Bounds the scan's working memory (about 500 bytes
-# a step: the 4 x 4 maps, the 16 functions they are built from, and the
-# states) whatever the grid length; blocks are isqrt(_CHUNK) steps.
+# Steps per scan chunk.  Bounds the scan's working memory (about 260 bytes
+# a step: the 4 x 4 maps, the 7 powers of the drive they are built from,
+# and the states) whatever the grid length; blocks are isqrt(_CHUNK) steps.
 _CHUNK = 1 << 14
 
 # Powers of the drive's modulus kept in a step map.  The first dropped
@@ -200,24 +196,18 @@ def _expm1(a):
 
 
 def _dyson_terms(h, gamma0, delta, deltaL, order):
-    """Coefficients D_0 .. D_order of the map I + sum_j a^j D_j of one
-    step, at drive phase 0, in the augmented layout (x, y, p, w), w = 1.
+    """Coefficients Phi_0 .. Phi_order of the laser-frame map
+    I + sum_j a^j Phi_j of one step whose drive starts at a (module
+    docstring), in the augmented layout (x, y, p, w), w = 1.
 
-    With y = (Re s, Im s, rho_ee) and u = 2 g alpha~, the pair reads
-    y' = A y + b with A = [[-gamma0/2, 0, Re u], [0, -gamma0/2, Im u],
-    [-Re u, -Im u, -gamma0]] and b = -(Re u, Im u, 0)/2.  Over a step
-    the drive is a e^{-(delta/2 + i deltaL) tau}, 0 <= tau <= h.  In the
-    laser frame sigma = s e^{i deltaL tau} the generator is
-    L + a e^{-delta tau/2} K, with L = [[-gamma0/2, -deltaL, 0, 0],
-    [deltaL, -gamma0/2, 0, 0], [0, 0, -gamma0, 0], 0] and K the Re u part
-    of A and b, so the map is the Dyson series Phi(a) = sum_j a^j Phi_j(h).
-    Psi_j = e^{j delta tau/2} Phi_j solve the constant block-bidiagonal
-    system Psi_j' = (L + j delta/2) Psi_j + K Psi_{j-1}, Psi_0(0) = I, so
-    the first block column of one exponential of its generator at h holds
-    every Psi_j(h) (Van Loan, IEEE TAC 23(3), 1978).  Back in the omega0
-    frame D_j = R(-deltaL h) Phi_j(h), and D_0 = R(-deltaL h) e^{L h} - I
-    = diag(expm1(-gamma0 h/2), expm1(-gamma0 h/2), expm1(-gamma0 h), 0)
-    is set exactly.  Returns shape (order + 1, 4, 4).
+    Over the step the generator is L + a e^{-delta tau/2} K, with L the
+    module docstring's and K = (M, e)/2 the drive's part, each padded
+    with a zero row for w.  Psi_j = e^{j delta tau/2} Phi_j solve the
+    constant block-bidiagonal system Psi_j' = (L + j delta/2) Psi_j +
+    K Psi_{j-1}, Psi_0(0) = I, so the first block column of one
+    exponential of its generator at h, less I, holds Phi_0 = e^{L h} - I
+    and every other Psi_j(h) (Van Loan, IEEE TAC 23(3), 1978).  Returns
+    shape (order + 1, 4, 4).
     """
     lin = np.array(
         [
@@ -227,76 +217,30 @@ def _dyson_terms(h, gamma0, delta, deltaL, order):
             [0.0, 0.0, 0.0, 0.0],
         ]
     )
-    # Generator part of Re u; the drive's -1/2 is in column w.
-    re_u = np.array([[0, 0, 1, -0.5], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
+    # Generator part of the drive; its -1/2 is in column w.
+    drive = np.array([[0, 0, 1, -0.5], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
     j = np.arange(order + 1)
     gen = (
         np.kron(np.eye(order + 1), lin)
         + np.kron(np.diag(0.5 * delta * j), np.eye(4))
-        + np.kron(np.eye(order + 1, k=-1), re_u)
+        + np.kron(np.eye(order + 1, k=-1), drive)
     )
     psi = _expm1(h * gen)[:, :4].reshape(order + 1, 4, 4)
-    c, s = math.cos(deltaL * h), math.sin(deltaL * h)
-    rot = np.array([[c, s, 0, 0], [-s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    decay = np.exp(-0.5 * delta * h * j)
-    d = decay[:, None, None] * (rot @ psi)
-    d[0] = np.diag([math.expm1(-0.5 * gamma0 * h)] * 2 + [math.expm1(-gamma0 * h), 0.0])
-    return d
+    return np.exp(-0.5 * delta * h * j)[:, None, None] * psi
 
 
-def _step_coefficients(h, gamma0, delta, deltaL):
-    """Coefficients of the exact map of one step of the Bloch pair.
-
-    A step whose drive starts at u = a e^{i theta} has the augmented map
-    I + R(theta) D(a) R(theta)^T, D(a) = sum_j a^j D_j the Dyson series
-    of :func:`_dyson_terms` cut after a^6: the pair commutes with
-    rotations R(theta) of the coherence.  The rotation turns the part of
-    D_j of charge q (0, 1 or 2) by q theta, and a^j e^{i q theta} =
-    r^n u^q with r = a^2 and j = q + 2n, so R D R^T is linear in the 16
-    functions r^n (n = 0 .. 3) and r^n Re u, r^n Im u, r^n Re u^2,
-    r^n Im u^2 (n = 0 .. 2), in that order.  Returns their coefficients,
-    shape (16, 16): row k is the 4 x 4 coefficient of function k, row by
-    row, with a zero last row.
-    """
-    d = _dyson_terms(h, gamma0, delta, deltaL, _ORDER)
-
-    # R(theta) = P + e^{i theta} E + e^{-i theta} conj(E), so the part of
-    # D_j of charge q is C_q = sum of A D_j B^T over the parts A, B whose
-    # charges add to q; it vanishes unless j = q + 2n.
-    e = np.zeros((4, 4), dtype=complex)
-    e[:2, :2] = [[0.5, 0.5j], [-0.5j, 0.5]]
-    parts = ((0, np.diag([0.0, 0.0, 1.0, 1.0])), (1, e), (-1, e.conj()))
-
-    def charge(dj, q):
-        return sum(a @ dj @ b.T for qa, a in parts for qb, b in parts if qa + qb == q)
-
-    rows = [charge(dj, 0).real for dj in d[0::2]]
-    # 2 Re(r^n u^q C_q) = 2 r^n (Re u^q Re C_q - Im u^q Im C_q).
-    for q in (1, 2):
-        c = [2.0 * charge(dj, q) for dj in d[q::2]]
-        rows += [cj.real for cj in c] + [-cj.imag for cj in c]
-    return np.reshape(rows, (16, 16))
-
-
-def _step_maps(coeffs, a, theta):
-    """Augmented maps of steps whose drive at t is a e^{i theta}.
-
-    The product of the 16 functions of :func:`_step_coefficients` with
-    ``coeffs`` is R(theta) D(a) R(theta)^T, in the maps' layout.  The
+def _step_maps(coeffs, a):
+    """Augmented laser-frame maps I + sum_j a^j Phi_j of steps whose
+    drive starts at ``a``, with ``coeffs`` the Phi_j of
+    :func:`_dyson_terms` flattened to shape (order + 1, 16).  The
     identity is added last: folded into the coefficients, the rounding
-    of 1 + D would repeat at every step.  ``a`` and ``theta`` share a
-    2-D shape S; returns S + (4, 4), last row (0, 0, 0, 1).
+    of 1 + Phi_0 would repeat at every step.  ``a`` is 2-D of shape S;
+    returns S + (4, 4), last row (0, 0, 0, 1).
     """
-    r = a * a
-    powers = np.stack((np.ones_like(a), r, r * r, r * r * r))
-    re, im = a * np.cos(theta), a * np.sin(theta)
-    low = powers[:3]
-    funcs = np.concatenate(
-        (powers, low * re, low * im, low * (re * re - im * im), low * (2.0 * re * im))
-    )
+    powers = np.vander(a.ravel(), len(coeffs), increasing=True)
     # One small product per row of S: a single product over the chunk
     # would be large enough for BLAS to put a second thread on it.
-    maps = np.moveaxis(funcs, 0, -1) @ coeffs
+    maps = powers.reshape(a.shape + (-1,)) @ coeffs
     maps[..., ::5] += 1.0
     return maps.reshape(a.shape + (4, 4))
 
@@ -333,14 +277,15 @@ def integrate_bloch(
 ) -> BlochTrajectory:
     """Integrate the full nonlinear Bloch pair with exact step maps.
 
-    Each step's map is I plus the rotation by the drive's phase of the
+    The steps run in the laser frame, where each map is I plus the
     step's Dyson series in the drive's modulus, cut after a^6 (module
-    docstring).  A chunk's maps take one exp, one cos/sin pair and one
-    product with the series' coefficients, built once per run, in the
-    scan's block order; a blocked two-level scan of stacked matmuls
-    composes them, and the last state carries into the next chunk.  The
-    result agrees with the same maps applied step by step to rounding,
-    not bitwise, and with the exact solution to rounding wherever
+    docstring).  A chunk's maps take one exp and one product with the
+    series' coefficients, built once per run, in the scan's block order;
+    a blocked two-level scan of stacked matmuls composes them, the last
+    state carries into the next chunk, and the chunk's coherences are
+    turned back to the omega0 frame by e^{-i deltaL t}.  The result
+    agrees with the same maps applied step by step to rounding, not
+    bitwise, and with the exact solution to rounding wherever
     (a h)^7 / 7! is below it (a the drive's peak modulus,
     2 g N amplitude_scale).
 
@@ -359,7 +304,7 @@ def integrate_bloch(
     h = grid.spacing
     check_step(h, system, pulse)
     n = grid.n
-    coeffs = _step_coefficients(h, system.gamma0, pulse.delta, pulse.deltaL)
+    coeffs = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _ORDER).reshape(-1, 16)
     amp = 2.0 * system.g * amplitude_scale * normalization(system, pulse)
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
@@ -370,10 +315,9 @@ def integrate_bloch(
         nblocks = -(-m // size)
         # The steps past the chunk only feed states that are cut.
         t = (lo + np.arange(nblocks * size).reshape(nblocks, size)) * h
-        maps = _step_maps(coeffs, amp * np.exp(-0.5 * pulse.delta * t), -pulse.deltaL * t)
-        states = _scan(maps, state)[:m]
-        rho_eg.real[lo + 1 : lo + m + 1] = states[:, 0]
-        rho_eg.imag[lo + 1 : lo + m + 1] = states[:, 1]
+        states = _scan(_step_maps(coeffs, amp * np.exp(-0.5 * pulse.delta * t)), state)[:m]
+        turn = np.exp(-1j * pulse.deltaL * ((lo + 1 + np.arange(m)) * h))
+        rho_eg[lo + 1 : lo + m + 1] = (states[:, 0] + 1j * states[:, 1]) * turn
         rho_ee[lo + 1 : lo + m + 1] = states[:, 2]
         state = states[-1, :3].tolist()
     return BlochTrajectory(

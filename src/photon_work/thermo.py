@@ -205,7 +205,10 @@ def closed_form_moments(system: SystemParams, pulse: PulseParams) -> tuple:
     digamma's asymptotic series), which keeps its digits where the two
     values nearly agree.  For Re d < 0 (delta > gamma0),
     X / conj X = e^{2 i deltaL t} exprel(d t) / exprel(conj(d) t) gives
-    I(delta, d) = I(delta - 2 i deltaL, -d).
+    I(delta, d) = I(delta - 2 i deltaL, -d).  At matched bandwidth,
+    a = delta/2, X / conj X = e^{i deltaL t}, so integral r =
+    -(N^2 / 2) deltaL / (delta^2 + deltaL^2) and the W1 row gives
+    W1 = g N deltaL (amp - g N) / (delta^2 + deltaL^2) = 0: amp = g N.
     """
     a = 0.5 * system.gamma0
     beta = 0.5 * pulse.delta

@@ -35,6 +35,7 @@ from photon_work.model import (
 from photon_work.oracle import init_single_photon, make_mode_grid, propagate
 from photon_work.semiclassical import (
     SemiclassicalReport,
+    head_grid,
     integrate_bloch,
     work_total_and_decomposition,
 )
@@ -202,3 +203,26 @@ def equivalence_pair(system):
         out[delta] = compare_equivalences(system, pulse)
         timings[delta] = time.perf_counter() - t0
     return out, timings
+
+
+# (delta, deltaL) of the weak-drive heads; (1, 0.2) is at matched bandwidth.
+WEAK_FIELD_CELLS = (
+    (0.3, 1.0), (0.1, 0.2), (0.01, 0.2), (2.0, -3.0), (5.0, 0.5), (0.5, 5.0), (1.0, 0.2)
+)
+
+
+@pytest.fixture(scope="session")
+def weak_field_heads(system):
+    """W_reac, W_abs and Q_alpha over eps^2 of the drive's head and tail
+    at amplitude scales eps = 2e-3 and 1e-3, by (delta, deltaL)."""
+    out = {}
+    for cell in WEAK_FIELD_CELLS:
+        pulse = make_pulse(*cell)
+        grid = head_grid(system, pulse)
+        out[cell] = []
+        for eps in (2e-3, 1e-3):
+            rep = work_total_and_decomposition(
+                integrate_bloch(system, pulse, grid, amplitude_scale=eps)
+            )
+            out[cell].append(np.array([rep.W_reac, rep.W_abs, rep.Q_alpha]) / eps**2)
+    return out

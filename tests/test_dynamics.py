@@ -81,7 +81,7 @@ def test_closed_form_is_accurate_near_confluence(sys1, gap, bound):
     # |a - b| = gap at deltaL = 0.  A switch to t e^{-b t} below 1e-8
     # that dropped the (a - b) t term erred by 2e-7 just under it, and
     # the plain difference just over it by 4e-9.  The plain difference is
-    # now kept only where |a - b| t >= 1e-4 and loses at most four digits.
+    # now kept only where |a - b| t >= 0.5.
     pulse = make_pulse(1.0 - 2.0 * gap)
     ts = np.array([0.5, 2.0, 10.0, 40.0])
     got = closed_form_psi(sys1, pulse, ts)
@@ -89,10 +89,30 @@ def test_closed_form_is_accurate_near_confluence(sys1, gap, bound):
     assert np.max(np.abs(got / want - 1.0)) < bound
 
 
+@pytest.mark.parametrize(
+    "delta,deltaL",
+    [(0.3, 0.35), (0.3, -0.37), (0.3, 0.39), (1.0, 0.0), (1.0, 1e-3), (0.01, 0.2), (2.0, 3.0)],
+)
+def test_closed_form_keeps_its_first_samples(sys1, delta, deltaL):
+    """psi within 1e-15 relative of 40 digits at the first 199 samples
+    of a 1e-3 grid and at 50 times in [0.2, 3].  The plain difference,
+    once kept down to |a - b| t = 1e-4, was 1.4e-12 off there."""
+    ts = np.r_[np.arange(1, 200) * 1e-3, np.linspace(0.2, 3.0, 50)]
+    got = closed_form_psi(sys1, make_pulse(delta, deltaL), ts)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(sys1.gamma0) / 2
+        b = mpmath.mpc(mpmath.mpf(delta) / 2, deltaL)
+        amp = mpmath.sqrt(a * delta)
+        for t, x in zip(map(mpmath.mpf, ts), got):
+            z = (b - a) * t
+            want = -amp * t * mpmath.exp(-b * t) * (mpmath.expm1(z) / z if z else 1)
+            assert abs(x / complex(want) - 1.0) <= 1e-15
+
+
 def test_exprel_components_are_accurate():
     # Both components to a few ulps, the small imaginary part included,
-    # near the |z| = 1e-4 that closed_form_psi stays below and well past
-    # it; exprel(0) = 1.
+    # from tiny |z| up to the |z| = 0.5 that closed_form_psi stays below;
+    # exprel(0) = 1.
     zs = [0.0, 1e-9 - 1e-9j, -9.9e-5 + 3e-7j, 0.3 + 1e-12j, -0.49 + 0.01j]
     got = _exprel(np.array(zs))
     for z, x in zip(zs, got):

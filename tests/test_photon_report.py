@@ -231,3 +231,19 @@ def test_resonant_report_does_no_work(sys1):
         rep = photon_report(sys1, make_pulse(delta))
         assert rep.W1 == 0.0
         assert rep.Q1_abs > 0.0 > rep.Q1_em
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 2.5])
+@pytest.mark.parametrize("deltaL", [-3.0, -0.2, 0.2, 5.0, 40.0])
+def test_matched_bandwidth_does_no_work(gamma0, deltaL):
+    # At delta = gamma0, W1 = g N deltaL (amp - g N) / (delta^2 + deltaL^2)
+    # with amp = g N (closed_form_moments): zero at every detuning, to
+    # the rounding of terms of order one.
+    rep = photon_report(make_system(gamma0=gamma0), make_pulse(gamma0, deltaL))
+    assert abs(rep.W1) <= 1e-15
+
+
+def test_work_changes_sign_across_matched_bandwidth(sys1):
+    narrow = photon_report(sys1, make_pulse(0.9, 0.5)).W1
+    broad = photon_report(sys1, make_pulse(1.1, 0.5)).W1
+    assert narrow > 0.0 > broad

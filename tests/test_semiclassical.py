@@ -22,7 +22,6 @@ from photon_work.semiclassical import (
     BlochTrajectory,
     _dyson_terms,
     _series,
-    _step_coefficients,
     _step_maps,
     head_grid,
     integrate_bloch,
@@ -31,6 +30,7 @@ from photon_work.semiclassical import (
     work_reactive,
     work_total_and_decomposition,
 )
+from photon_work.thermo import photon_report
 
 
 @pytest.fixture(scope="module")
@@ -84,16 +84,10 @@ def test_matching_improves_for_narrower_bandwidth(sys1):
     assert np.max(np.abs(bt.rho_eg - psi)) < 1e-3
 
 
-def _series_maps(terms, a, theta):
-    """Maps I + R(theta) (sum_j a^j D_j) R(theta)^T of steps whose drive
-    starts at a e^{i theta}, summed straight from the Dyson terms D_j;
-    ``a`` and ``theta`` are 1-D."""
-    series = np.moveaxis(np.polynomial.polynomial.polyval(a, terms), -1, 0)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.zeros(theta.shape + (4, 4))
-    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
-    rot[:, 2, 2] = rot[:, 3, 3] = 1.0
-    return np.eye(4) + rot @ series @ np.swapaxes(rot, -1, -2)
+def _series_maps(terms, a):
+    """Laser-frame maps I + sum_j a^j Phi_j of steps whose drive starts
+    at ``a`` (1-D), summed straight from the Dyson terms Phi_j."""
+    return np.eye(4) + np.moveaxis(np.polynomial.polynomial.polyval(a, terms), -1, 0)
 
 
 # Steps per batch of reference maps: bounds the reference's memory.
@@ -101,9 +95,10 @@ _BATCH = 4096
 
 
 def _maps_reference(system, pulse, grid, amplitude_scale):
-    """rho_eg, rho_ee and the drive of the Bloch pair, by the step maps
-    of ``integrate_bloch`` built from their Dyson terms (no charge split)
-    and applied one step at a time in a scalar loop."""
+    """rho_eg, rho_ee and the drive of the Bloch pair, by the laser-frame
+    step maps of ``integrate_bloch`` summed from their Dyson terms,
+    applied one step at a time in a scalar loop, each state turned back
+    by e^{-i deltaL t_k}."""
     h, n = grid.spacing, grid.n
     terms = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _ORDER)
     t = grid.times()
@@ -114,10 +109,10 @@ def _maps_reference(system, pulse, grid, amplitude_scale):
     x = y = p = 0.0
     for lo in range(0, n - 1, _BATCH):
         tk = t[lo : min(lo + _BATCH, n - 1)]
-        maps = _series_maps(terms, amp * np.exp(-0.5 * pulse.delta * tk), -pulse.deltaL * tk)
+        maps = _series_maps(terms, amp * np.exp(-0.5 * pulse.delta * tk))
         for m, rows in enumerate(maps[:, :3].tolist(), start=lo + 1):
             x, y, p = (r[0] * x + r[1] * y + r[2] * p + r[3] for r in rows)
-            rho_eg[m], rho_ee[m] = complex(x, y), p
+            rho_eg[m], rho_ee[m] = complex(x, y) * cmath.exp(-1j * pulse.deltaL * t[m]), p
     return rho_eg, rho_ee, drive
 
 
@@ -149,12 +144,12 @@ def _maps_reference(system, pulse, grid, amplitude_scale):
     ],
 )
 def test_scan_matches_step_by_step_maps(sys1, delta, deltaL, scale, steps, tol):
-    """The blocked affine scan, with maps from the 16 charge-split
-    functions, reproduces a scalar loop over maps summed straight from
-    the Dyson terms to rounding: each array within ``tol`` of its largest
+    """The blocked affine scan, with maps from the 7 powers of the
+    drive, reproduces a scalar loop over maps summed straight from the
+    Dyson terms to rounding: each array within ``tol`` of its largest
     magnitude.  The heads catch rounding that repeats at every step: with
     the identity folded into the step maps' coefficients, rho_eg sat
-    3.7e-14 off on the narrowest head, and within 5e-15 here."""
+    3.7e-14 off on the narrowest head, and within 6e-15 here."""
     pulse = make_pulse(delta, deltaL)
     h = 1e-2
     if steps == "head":
@@ -220,25 +215,25 @@ def test_head_meets_a_tight_dop853_run(sys1, delta, deltaL, scale):
 
 def test_cut_dyson_series_is_converged(sys1):
     """At the largest a h of any head the tests run (the strong drive:
-    scale 3 at delta = 1), the step maps of the 16 functions meet the
-    series cut after a^8 to rounding at every phase: a^7 and a^8 add
-    nothing, and the charge split loses nothing."""
+    scale 3 at delta = 1), and at lesser drives, the step maps of the 7
+    powers meet the series cut after a^8 to rounding: a^7 and a^8 add
+    nothing."""
     pulse = make_pulse(1.0)
     h = head_grid(sys1, pulse).spacing
     a = 3.0 * 2.0 * sys1.g * normalization(sys1, pulse)
     assert a * h > 0.01
-    coeffs = _step_coefficients(h, sys1.gamma0, pulse.delta, pulse.deltaL)
-    theta = np.linspace(-math.pi, math.pi, 9)
-    got = _step_maps(coeffs, np.full((1, 9), a), theta[None])[0]
+    coeffs = _dyson_terms(h, sys1.gamma0, pulse.delta, pulse.deltaL, _ORDER).reshape(-1, 16)
+    drives = np.linspace(0.0, a, 9)
+    got = _step_maps(coeffs, drives[None])[0]
     terms = _dyson_terms(h, sys1.gamma0, pulse.delta, pulse.deltaL, 8)
-    want = _series_maps(terms, np.full(9, a), theta)
+    want = _series_maps(terms, drives)
     assert np.max(np.abs(got - want)) <= 2.2e-16
     assert np.all(got[:, 3] == [0.0, 0.0, 0.0, 1.0])
 
 
 def test_scan_working_memory_is_bounded(sys1):
     """Past its two output arrays, ``integrate_bloch`` allocates at most
-    one chunk's working memory, however long the grid: 7.9 MiB at
+    one chunk's working memory, however long the grid: 4.0 MiB at
     500,000 steps, where maps for the whole grid would take 61 MiB."""
     pulse = make_pulse(0.01, 0.2)
     grid = TimeGrid(n=500_001, spacing=1e-3)
@@ -249,6 +244,32 @@ def test_scan_working_memory_is_bounded(sys1):
     finally:
         tracemalloc.stop()
     assert peak - bt.rho_eg.nbytes - bt.rho_ee.nbytes < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "cell", [(0.3, 1.0), (0.1, 0.2), (0.01, 0.2), (2.0, -3.0), (5.0, 0.5), (0.5, 5.0)]
+)
+def test_weak_drive_meets_the_photon(system, weak_field_heads, cell):
+    """The drive's works over eps^2 are even in eps, so the Richardson
+    value (4 G(eps/2) - G(eps)) / 3 of W_reac, W_abs and Q_alpha is their
+    weak-field limit to O(eps^4): the photon's W1, Q1_abs and Q1_em,
+    within 1e-12 relative (worst 5.2e-13), with no ODE solver to trust."""
+    coarse, fine = weak_field_heads[cell]
+    rep = photon_report(system, make_pulse(*cell))
+    want = np.array([rep.W1, rep.Q1_abs, rep.Q1_em])
+    assert np.all(np.abs((4.0 * fine - coarse) / 3.0 - want) <= 1e-12 * np.abs(want))
+
+
+def test_weak_drive_does_no_reactive_work_at_matched_bandwidth(system, weak_field_heads):
+    """At delta = gamma0 the photon's W1 vanishes: the drive's weak-field
+    W_reac meets it within 1e-13 absolute (4.5e-15 here), and W_abs and
+    Q_alpha meet Q1_abs and Q1_em within 1e-12 relative."""
+    coarse, fine = weak_field_heads[1.0, 0.2]
+    limit = (4.0 * fine - coarse) / 3.0
+    rep = photon_report(system, make_pulse(1.0, 0.2))
+    assert abs(limit[0]) <= 1e-13
+    want = np.array([rep.Q1_abs, rep.Q1_em])
+    assert np.all(np.abs(limit[1:] - want) <= 1e-12 * np.abs(want))
 
 
 def test_susceptibility_on_resonance(sys1):
