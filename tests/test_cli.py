@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import photon_work
+from photon_work import cli
 from photon_work.analysis import compare_equivalences
 from photon_work.cli import _BLOCK, RunConfig, _write_csv, main, parse_config
 from photon_work.dynamics import full_cycle_grid
@@ -514,6 +515,30 @@ def test_oracle_mode_error_past_tolerance_exits_2(workdir, capsys):
     assert max_abs_err > 1e-2
     assert "residual violation: abs_err" in captured.err
     assert "recurrence" not in captured.err
+
+
+def test_oracle_gate_catches_a_conjugated_amplitude(workdir, capsys, monkeypatch):
+    """An oracle psi of the wrong phase convention has the right modulus,
+    so max_abs_err stays small, but the gate on the complex difference
+    exits 2."""
+    propagate = cli.propagate
+
+    def conjugated(*args, **kwargs):
+        traj = propagate(*args, **kwargs)
+        return replace(traj, psi=traj.psi.conj())
+
+    body = (
+        "mode=oracle_check\ndeltaL=0.5\nhalf_width=100\nn_modes=1001\n"
+        "t_max=1.0\nout=orc\n"
+    )
+    assert main([_write(workdir, body)]) == 0
+    honest = capsys.readouterr().out
+    monkeypatch.setattr(cli, "propagate", conjugated)
+    assert main([_write(workdir, body)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == honest
+    assert float(captured.out.split("max_abs_err = ")[1].split()[0]) < 1e-2
+    assert "residual violation: abs_err" in captured.err
 
 
 def test_oracle_csv_abs_err_is_the_difference_of_its_columns(workdir):

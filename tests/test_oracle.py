@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from photon_work import oracle
 from photon_work.dynamics import closed_form_psi
 from photon_work.model import make_pulse, make_system, uniform_grid
 from photon_work.oracle import (
@@ -16,6 +17,7 @@ from photon_work.oracle import (
     _eigenvalues,
     _expand,
     _pole_sum,
+    _unit_phases,
     init_single_photon,
     make_mode_grid,
     propagate,
@@ -212,17 +214,18 @@ def _small_comb(sys1, name):
 
 
 def test_closed_form_pole_sum_matches_direct_sum():
-    """The digamma/cot form of sum_k 1/(z - k) equals the term-by-term
-    sum within 1e-12, relative to the sum of the terms' moduli (the scale
-    of the rounding of either sum)."""
+    """The digamma/cot forms of sum_k 1/(z - k) and sum_k 1/(z - k)^2
+    equal the term-by-term sums within 1e-12, relative to the sum of the
+    terms' moduli (the scale of the rounding of either sum)."""
     rng = np.random.default_rng(6)
     for n in (41, 60, 4001):
         anchor = rng.integers(0, n, 500)
         u = rng.uniform(-0.5, 0.5, 500)
         u[:4] = (0.5, -0.5, 1e-3, -1e-3)
         terms = 1.0 / (np.subtract.outer(anchor.astype(float), np.arange(n)) + u[:, None])
-        err = np.abs(_pole_sum(n, anchor, u) - terms.sum(axis=1))
-        assert np.all(err <= 1e-12 * np.abs(terms).sum(axis=1)), n
+        for got, want in zip(_pole_sum(n, anchor, u), (terms, terms * terms)):
+            err = np.abs(got - want.sum(axis=1))
+            assert np.all(err <= 1e-12 * np.abs(want).sum(axis=1)), n
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_COMBS))
@@ -232,7 +235,7 @@ def test_eigenvalues_interlace_the_comb(sys1, name):
     mg, _ = _small_comb(sys1, name)
     n = mg.n_modes
     dets = mg.detunings()
-    anchors, offsets = _eigenvalues(mg)
+    anchors, offsets, _ = _eigenvalues(mg)
     lam = dets[anchors] + mg.spacing * offsets
     assert len(lam) == n + 1
     assert lam[0] < dets[0] and lam[-1] > dets[-1]
@@ -246,16 +249,58 @@ def test_eigenvalues_interlace_the_comb(sys1, name):
 def test_expansion_keeps_norm_and_rebuilds_the_state(sys1, name):
     """sum |c_j|^2 is the initial |chi0|^2 + ||phi0||^2, and V c rebuilds x0."""
     mg, state = _small_comb(sys1, name)
-    anchors, offsets = _eigenvalues(mg)
+    anchors, offsets, norms = _eigenvalues(mg)
     chi0 = -1j * state.psi
     phi0 = state.phi
-    weights, norm, rebuilt = _expand(mg, anchors, offsets, chi0, phi0)
+    weights, norm, rebuilt = _expand(mg, anchors, offsets, norms, chi0, phi0)
     norm0 = abs(chi0) ** 2 + float(np.sum(np.abs(phi0) ** 2))
     assert abs(norm0 - norm) <= 1e-12
     residual = math.sqrt(
         abs(weights.sum() - chi0) ** 2 + float(np.sum(np.abs(rebuilt - phi0) ** 2))
     )
     assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*sorted(SMALL_COMBS), "default"])
+def test_secular_norms_are_the_row_sums(sys1, name):
+    """The squared norms from the secular derivative equal the direct row
+    sums 1 + sum_k v_k^2 within 1e-14 relative, on the small combs and on
+    the default 4001-mode comb."""
+    mg = make_mode_grid(sys1) if name == "default" else _small_comb(sys1, name)[0]
+    anchors, offsets, norms = _eigenvalues(mg)
+    gaps = np.subtract.outer(np.arange(mg.n_modes), anchors).T - offsets[:, None]
+    rows = mg.coupling / mg.spacing / gaps
+    direct = 1.0 + np.sum(rows * rows, axis=1)
+    np.testing.assert_allclose(norms, direct, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n_modes", [4000, 4001])
+def test_secular_roots_take_a_handful_of_passes(sys1, pulse1, monkeypatch, n_modes):
+    """Newton's method finds the gap roots of the default comb, and of
+    the even comb whose center root sits at the middle of its gap, in a
+    handful of passes of the closed-form pole sums; bisection to adjacent
+    floats took 62."""
+    calls = []
+    pole_sum = oracle._pole_sum
+
+    def counted(*args):
+        calls.append(1)
+        return pole_sum(*args)
+
+    monkeypatch.setattr(oracle, "_pole_sum", counted)
+    mg = make_mode_grid(sys1, n_modes=n_modes)
+    propagate(init_single_photon(sys1, pulse1, mg), mg, uniform_grid(1.0, 1e-2))
+    assert 0 < len(calls) <= 12
+
+
+def test_phase_table_is_the_complex_exponential():
+    """cos and -sin written into one complex array give the same bits as
+    np.exp(-1j * x), on arguments as large as the oracle's lam t."""
+    x = np.random.default_rng(3).uniform(-600.0, 600.0, 100_000)
+    x[:3] = (0.0, -0.0, math.pi)
+    assert np.array_equal(_unit_phases(x), np.exp(-1j * x))
+    table = np.multiply.outer(np.linspace(0.0, 5.0, 71), x[:500])
+    assert np.array_equal(_unit_phases(table), np.exp(-1j * table))
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_COMBS))

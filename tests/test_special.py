@@ -1,4 +1,5 @@
-"""The numpy-only digamma function against 40-digit mpmath values."""
+"""The numpy-only digamma and trigamma functions against 40-digit mpmath
+values."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from photon_work.special import digamma, digamma_divided_difference
+from photon_work.special import digamma, digamma_divided_difference, trigamma
 
 EPS = np.finfo(float).eps
 
@@ -16,22 +17,35 @@ def _psi_mp(z):
         return mpmath.digamma(mpmath.mpmathify(z))
 
 
+# Both sides of the shift at 10, the positive zero 1.4616321449683623 of
+# digamma and arguments up to 1e4, as the oracle's secular sum meets them.
+REAL_GRID = np.concatenate(
+    [
+        np.linspace(0.5, 12.0, 2301),
+        [1.4616321449683623, np.nextafter(10.0, 0.0), 10.0],
+        np.geomspace(12.0, 1e4, 400),
+    ]
+)
+
+
 def test_real_digamma_matches_forty_digits():
-    # Both sides of the shift at 10, the positive zero 1.4616321449683623
-    # and arguments up to 1e4, as the oracle's secular sum meets them.
     # The largest error, 3.5 ulps of max(1, |psi|), sits below x = 2, where
     # the ten shifts cancel against psi(x + 10).
-    x = np.concatenate(
-        [
-            np.linspace(0.5, 12.0, 2301),
-            [1.4616321449683623, np.nextafter(10.0, 0.0), 10.0],
-            np.geomspace(12.0, 1e4, 400),
-        ]
-    )
+    x = REAL_GRID
     got = digamma(x)
     want = np.array([float(_psi_mp(float(v))) for v in x])
     err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
     assert err.max() <= 6.0 * EPS, x[np.argmax(err)]
+
+
+def test_real_trigamma_matches_forty_digits():
+    # psi' is positive and its shifts add positive terms, so the error is
+    # relative: 1.5 ulps at most on this grid.
+    got = trigamma(REAL_GRID)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.psi(1, mpmath.mpf(float(v)))) for v in REAL_GRID])
+    err = np.abs(got - want) / want
+    assert err.max() <= 4.0 * EPS, REAL_GRID[np.argmax(err)]
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,14 @@
 
 Run from the repository root:
 
-    python3 tools/bench_record.py LABEL [--tree DIR]
+    python3 tools/bench_record.py LABEL [--tree DIR] [--workloads W ...] [--seeds S ...]
 
-Each of the four workloads in ``bench/`` runs once per seed 0, 1 and 2, as
-``python3 bench/run.py --workload W --seed S --seconds 15 --trace 0`` in
-the tree ``DIR`` (default: this repository).  ``BENCH_<LABEL>.json`` at
-the root of this repository then holds, per workload, the median and the
-interquartile range over the seeds of ``wall_s``, ``cpu_s``,
+Each workload in ``bench/`` (default: all four) runs once per seed
+(default: 0, 1 and 2), as
+``python3 bench/run.py --workload W --seed S --seconds 15 --trace 0``
+in the tree ``DIR`` (default: this repository).  ``BENCH_<LABEL>.json`` at
+the root of this repository then holds the seeds and, per workload, the
+median and the interquartile range over the seeds of ``wall_s``, ``cpu_s``,
 ``peak_rss_mb`` and ``setup_s``, the attempted and failed call counts,
 and the machine: CPU count, numpy and scipy versions, whether numba is
 installed, and the tree's git revision with a ``dirty`` flag, true when
@@ -95,12 +96,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=ROOT, help="source tree to measure")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS,
+                        help="workloads to run (default: all)")
+    parser.add_argument("--seeds", nargs="+", type=int, default=SEEDS,
+                        help="seeds of each workload (default: 0 1 2)")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     workloads = {}
-    for workload in WORKLOADS:
+    for workload in args.workloads:
         results = []
-        for seed in SEEDS:
+        for seed in args.seeds:
             results.append(run_workload(tree, workload, seed))
             print(f"{workload} seed {seed}: {results[-1]['metrics']['wall_s']['value']:.4g} s",
                   file=sys.stderr)
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
         "revision": git(tree, "rev-parse", "HEAD"),
         # Uncommitted changes: the measured tree is not ``revision`` itself.
         "dirty": git(tree, "status", "--porcelain") != "",
-        "seeds": list(SEEDS),
+        "seeds": list(args.seeds),
         "seconds": SECONDS,
         "nproc": os.cpu_count(),
         "numpy": np.__version__,
