@@ -5,9 +5,10 @@ One config describes one run mode:
     single          full-cycle trajectory + energy summary (grid-free)
     detuning_scan   thermo functionals over a laser-detuning sweep (grid-free)
     bandwidth_scan  quantum/semiclassical comparison over bandwidths (the
-                    drive's head ends at 80/gamma0, or at the full-cycle
-                    horizon of the default tolerance where delta > 0.9
-                    gamma0, at a spacing of its own)
+                    drive's head ends at 80/gamma0, or at the shorter
+                    full cycle of the default tolerance from delta ~ 0.8
+                    gamma0 at deltaL = 0, ~ 0.5 gamma0 at deltaL = 40;
+                    at a spacing of its own)
     equivalence     the same comparison at a single bandwidth
     oracle_check    discretized-continuum eigen-expansion vs closed form,
                     sampled at the requested step
@@ -18,14 +19,18 @@ gets a note on stderr naming the key and its line, and runs as without it.
 
 Numbers are serialized with 17 significant digits (lossless float64
 round trip) and LF line endings, so identical configs give byte-identical
-files.  Exit status: 0 on success, 2 when an enforced residual (in the
-equivalence modes also the drive's split residual between its head and
-its series tail) exceeds its tolerance, the oracle horizon reaches the
-comb revival time or the oracle's complex psi leaves the closed form by
-more than ORACLE_ABS_TOL (the violation is named on stderr), 1 for config or
-I/O errors.  Residual tolerances follow the invariant units: first-law
-and heat-split thresholds scale with omega0, the work-split threshold
-does not.
+files.  Exit status: 0 on success, 1 for config or I/O errors, 2 when a
+gate fails, named on stderr.  A gate is a (name, value, limit) record
+that passes only when |value| <= limit, so a NaN value fails:
+
+    every mode but oracle_check, at each point: res_first_law and
+        res_q_split at residual_tol * omega0, res_w_split at residual_tol
+    bandwidth_scan and equivalence, at each point: the drive's
+        res_decomposition and split_residual (between its head and its
+        series tail) at residual_tol; rel_err_* at equiv_tol, in regime
+    oracle_check: recurrence (t_max below the comb revival time
+        2 pi/d_omega) and abs_err (max |psi - psi_closed|, at
+        ORACLE_ABS_TOL); propagate checks norm_drift at drift_tol
 """
 
 from __future__ import annotations
@@ -213,19 +218,23 @@ def _write_csv(path: str, columns: dict) -> None:
     print(f"wrote {path}")
 
 
-def _residual_violations(
-    report: ThermoReport, omega0: float, tol: float, where: str = ""
-) -> list:
-    """Gate the first-law, heat-split and work-split residuals of one run."""
-    gates = (
+def _ledger_bounds(report: ThermoReport, omega0: float, tol: float) -> list:
+    """(name, value, limit) of the first-law, heat-split and work-split
+    residuals of one photon ledger."""
+    return [
         ("res_first_law", report.residual_first_law, tol * omega0),
         ("res_q_split", report.residual_Q_split, tol * omega0),
         ("res_w_split", report.residual_W_split, tol),
-    )
+    ]
+
+
+def _violations(bounds, where: str = "") -> list:
+    """Messages of the (name, value, limit) records whose |value| is not
+    within their limit; a NaN value fails."""
     return [
-        f"{name}={val:.6e} exceeds {thr:.6e}{where}"
-        for name, val, thr in gates
-        if abs(val) > thr
+        f"{name}={value:.6e} exceeds {limit:.6e}{where}"
+        for name, value, limit in bounds
+        if not abs(value) <= limit
     ]
 
 
@@ -264,6 +273,7 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
         f"{config.out}_trajectory.csv",
         {name: col[rows] for name, col in trajectory.items()},
     )
+    bounds = _ledger_bounds(rep, system.omega0, config.residual_tol)
     summary = {
         "W1": rep.W1,
         "Q1": rep.Q1,
@@ -272,16 +282,13 @@ def _run_single(config: RunConfig, system: SystemParams) -> int:
         "W1_int": rep.W1_int,
         "W1_reac": rep.W1_reac,
         "dU": rep.dU,
-        "res_first_law": rep.residual_first_law,
-        "res_q_split": rep.residual_Q_split,
-        "res_w_split": rep.residual_W_split,
-    }
+    } | {name: value for name, value, _ in bounds}
     _write_csv(
         f"{config.out}_summary.csv", {name: [v] for name, v in summary.items()}
     )
     for name, val in summary.items():
         print(f"{name} = {val:.9g}")
-    return _exit_status(_residual_violations(rep, system.omega0, config.residual_tol))
+    return _exit_status(_violations(bounds))
 
 
 def _run_detuning(config: RunConfig, system: SystemParams) -> int:
@@ -298,19 +305,16 @@ def _run_detuning(config: RunConfig, system: SystemParams) -> int:
     )
     for d, resid in scan.antisymmetry:
         print(f"antisymmetry |W1({d:g}) + W1({-d:g})| = {resid:.3e}")
-    return _exit_status(
-        [
-            v
-            for d, rep in zip(scan.deltaL, scan.reports)
-            for v in _residual_violations(
-                rep, system.omega0, config.residual_tol, f" at deltaL={d:g}"
-            )
-        ]
-    )
+    violations = []
+    for d, rep in zip(scan.deltaL, scan.reports):
+        bounds = _ledger_bounds(rep, system.omega0, config.residual_tol)
+        violations += _violations(bounds, f" at deltaL={d:g}")
+    return _exit_status(violations)
 
 
 def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
     errors = ("rel_err_work_reactive", "rel_err_heat_absorbed", "rel_err_heat_emitted")
+    tol = config.residual_tol
     columns: dict = {}
     violations = []
     for d in deltas:
@@ -337,24 +341,13 @@ def _run_equivalence(config: RunConfig, system: SystemParams, deltas) -> int:
             + f" in_regime={int(rep.regime.in_regime)}"
             + f" split_residual={rep.drive.split_residual:.3e}"
         )
-        where = f" at delta={d:g}"
-        violations += _residual_violations(
-            rep.photon, system.omega0, config.residual_tol, where
-        )
-        violations += [
-            f"{name}={val:.6e} exceeds {config.residual_tol:.6e}{where}"
-            for name, val in (
-                ("res_decomposition", rep.drive.residual_decomposition),
-                ("split_residual", rep.drive.split_residual),
-            )
-            if abs(val) > config.residual_tol
+        bounds = _ledger_bounds(rep.photon, system.omega0, tol) + [
+            ("res_decomposition", rep.drive.residual_decomposition, tol),
+            ("split_residual", rep.drive.split_residual, tol),
         ]
         if rep.regime.in_regime:
-            violations += [
-                f"{name}={row[name]:.6e} exceeds {config.equiv_tol:.6e}{where}"
-                for name in errors
-                if row[name] > config.equiv_tol
-            ]
+            bounds += [(name, row[name], config.equiv_tol) for name in errors]
+        violations += _violations(bounds, f" at delta={d:g}")
     _write_csv(f"{config.out}_equivalence.csv", columns)
     return _exit_status(violations)
 
@@ -397,22 +390,16 @@ def _run_oracle(config: RunConfig, system: SystemParams) -> int:
     )
     # The window flag stays informational: the default window captures
     # 0.9968 of the pulse, below the oracle's 0.999 capture threshold.
-    violations = []
-    if not otraj.recurrence_ok:
-        revival = 2.0 * math.pi / mode_grid.spacing
-        violations.append(
-            f"recurrence: t_max={grid.tf:g} is past the "
-            f"comb revival time 2 pi/d_omega={revival:g}"
-        )
-    # The complex difference bounds the printed modulus difference and
-    # also catches a wrong phase.
+    # recurrence_ok is strict, so the limit is the largest float below the
+    # revival time.  The complex difference bounds the printed modulus
+    # difference and also catches a wrong phase.
+    revival = 2.0 * math.pi / mode_grid.spacing
     max_err = float(np.abs(otraj.psi - closed).max())
-    if max_err > ORACLE_ABS_TOL:
-        violations.append(
-            f"abs_err: max |psi - psi_closed| = {max_err:.6e} "
-            f"exceeds {ORACLE_ABS_TOL:.6e}"
-        )
-    return _exit_status(violations)
+    bounds = [
+        ("recurrence", grid.tf, math.nextafter(revival, 0.0)),
+        ("abs_err", max_err, ORACLE_ABS_TOL),
+    ]
+    return _exit_status(_violations(bounds))
 
 
 def run(config: RunConfig) -> int:

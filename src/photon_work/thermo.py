@@ -290,8 +290,8 @@ def thermo_report(
 ) -> ThermoReport:
     """Full energy balance with decomposition residuals, by the
     end-corrected trapezoid rule (:func:`energy_moments`) on a sampled
-    trajectory (the RK4 or the oracle amplitude; the
-    closed form needs no grid, see :func:`photon_report`).
+    closed-form or RK4 trajectory (the closed form itself needs no grid,
+    see :func:`photon_report`).
 
     Parameters
     ----------

@@ -80,6 +80,12 @@ def system() -> SystemParams:
 
 
 @pytest.fixture(scope="session")
+def sys1(system) -> SystemParams:
+    """The default system again; SystemParams is frozen, so sharing it is safe."""
+    return system
+
+
+@pytest.fixture(scope="session")
 def run_set(system) -> RunSet:
     rng = np.random.default_rng(RUN_SEED)
     params = [(1.0, 0.0)]

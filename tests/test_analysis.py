@@ -10,13 +10,8 @@ from photon_work.analysis import (
     detuning_scan,
 )
 from photon_work.dynamics import peak_population
-from photon_work.model import make_pulse, make_system
+from photon_work.model import make_pulse
 from photon_work.thermo import photon_report
-
-
-@pytest.fixture(scope="module")
-def sys1():
-    return make_system()
 
 
 def test_regime_flags_narrowband(equivalence_pair):

@@ -23,6 +23,7 @@ from photon_work.analysis import compare_equivalences
 from photon_work.cli import _BLOCK, RunConfig, _write_csv, main, parse_config
 from photon_work.dynamics import full_cycle_grid
 from photon_work.model import make_pulse, make_system
+from photon_work.oracle import make_mode_grid
 from photon_work.thermo import photon_report
 
 
@@ -269,6 +270,25 @@ def test_exit_2_names_violated_residual(workdir, capsys):
     assert "residual violation:" in err and "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "mode=single\ndeltaL=0.3\ntraj_stride=500\n",
+        "mode=detuning_scan\ndeltaL_values=-0.3,0.3\n",
+    ],
+    ids=["single", "detuning_scan"],
+)
+def test_nan_residual_exits_2(workdir, capsys, body):
+    # At this omega0 the heats overflow, dU is inf and the first-law and
+    # heat-split residuals are inf - inf = nan: a NaN never passes a gate.
+    cfg = _write(workdir, body + "omega0=1.5e308\ndelta=0.5\n")
+    assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert "residual violation: res_first_law=nan exceeds" in err
+    assert "residual violation: res_q_split=nan exceeds" in err
+    assert "res_w_split" not in err
+
+
 def test_equivalence_mode_exit_2_names_violated_residual(workdir, capsys):
     # Both reports' residuals and the drive's split residual are rounding
     # noise, far above 1e-18 at this detuning (the drive's decomposition
@@ -297,6 +317,20 @@ def test_detuning_scan_mode(workdir, capsys):
     assert len(lines) == 3
 
 
+def test_detuning_scan_mode_exit_2_names_violated_residual(workdir, capsys):
+    cfg = _write(
+        workdir,
+        "mode=detuning_scan\ndelta=0.5\ndeltaL_values=-0.4,0.4\nresidual_tol=1e-18\n",
+    )
+    assert main([cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    assert all(line.startswith("residual violation: res_") for line in lines)
+    assert all(" at deltaL=" in line for line in lines)
+    assert any(line.endswith(" at deltaL=-0.4") for line in lines)
+    assert any(line.endswith(" at deltaL=0.4") for line in lines)
+
+
 def test_equivalence_mode_off_regime_is_not_enforced(workdir, capsys):
     cfg = _write(workdir, "mode=equivalence\ndelta=0.05\ndeltaL=0.2\nout=eq\n")
     assert main([cfg]) == 0  # out of regime: reported, never enforced
@@ -305,6 +339,19 @@ def test_equivalence_mode_off_regime_is_not_enforced(workdir, capsys):
     lines = (workdir / "eq_equivalence.csv").read_text().splitlines()
     assert lines[0].startswith("delta,w1,w_reac_alpha")
     assert lines[1].endswith(",0")  # in_regime column
+
+
+def test_equivalence_mode_in_regime_errors_are_enforced(workdir, capsys):
+    # In regime at delta = 0.01; the three relative errors read 2.2e-2,
+    # 1.6e-2 and 1.6e-2, inside the default 0.05 but not inside 1e-3.
+    body = "mode=equivalence\ndelta=0.01\ndeltaL=0.2\n"
+    assert main([_write(workdir, body)]) == 0
+    assert "in_regime=1" in capsys.readouterr().out
+    assert main([_write(workdir, body + "equiv_tol=1e-3\n")]) == 2
+    err = capsys.readouterr().err
+    for name in ("work_reactive", "heat_absorbed", "heat_emitted"):
+        assert f"residual violation: rel_err_{name}=" in err
+    assert err.count("exceeds 1.000000e-03 at delta=0.01") == 3
 
 
 def test_equivalence_mode_default_step_is_the_library_default(workdir):
@@ -499,6 +546,23 @@ def test_oracle_mode_past_revival_exits_2(workdir, capsys):
     assert "recurrence_ok = 0" in captured.out
     assert "residual violation: recurrence" in captured.err
     assert (workdir / "rev_oracle.csv").exists()
+
+
+def test_oracle_recurrence_gate_is_the_printed_flag(workdir, capsys):
+    """recurrence_ok is strict: a horizon on the revival time reads 0 and
+    fails the recurrence gate, one a float below reads 1 and passes it
+    (both runs fail abs_err, 2.3e-2 on this coarse comb)."""
+    spacing = make_mode_grid(make_system(), 10.0, 101).spacing
+    revival = 2.0 * math.pi / spacing
+    body = "mode=oracle_check\nhalf_width=10\nn_modes=101\n"
+    for t_max, flag in ((revival, 0), (math.nextafter(revival, 0.0), 1)):
+        # One step: the horizon is t_max to the bit.
+        cfg = _write(workdir, body + f"t_max={t_max!r}\nstep={t_max!r}\n")
+        assert main([cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"recurrence_ok = {flag}" in captured.out
+        assert ("residual violation: recurrence=" in captured.err) == (flag == 0)
+        assert "residual violation: abs_err=" in captured.err
 
 
 def test_oracle_mode_error_past_tolerance_exits_2(workdir, capsys):

@@ -23,11 +23,6 @@ from photon_work.dynamics import (
 from photon_work.model import make_pulse, make_system, uniform_grid
 
 
-@pytest.fixture(scope="module")
-def sys1():
-    return make_system()
-
-
 def test_initial_condition(sys1):
     pulse = make_pulse(0.7, 0.3)
     assert closed_form_psi(sys1, pulse, 0.0) == 0.0

@@ -9,12 +9,7 @@ import pytest
 
 from photon_work.dynamics import closed_form_trajectory, integrate_psi
 from photon_work.effective import effective_trajectory
-from photon_work.model import make_pulse, make_system, uniform_grid
-
-
-@pytest.fixture(scope="module")
-def sys1():
-    return make_system()
+from photon_work.model import make_pulse, uniform_grid
 
 
 @pytest.fixture(scope="module")

@@ -34,11 +34,6 @@ SMALL_COMBS = {
 
 
 @pytest.fixture(scope="module")
-def sys1():
-    return make_system()
-
-
-@pytest.fixture(scope="module")
 def pulse1(sys1):
     return make_pulse(1.0)
 

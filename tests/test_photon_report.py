@@ -46,11 +46,6 @@ RTOL = {"W1": 1e-12, "Q1": 1e-10, "Q1_abs": 1e-12, "Q1_em": 1e-12}
 
 
 @pytest.fixture(scope="module")
-def sys1():
-    return make_system()
-
-
-@pytest.fixture(scope="module")
 def sweep_reports(sys1):
     return [
         photon_report(sys1, make_pulse(SWEEP_DELTA, row[0])) for row in SWEEP

@@ -13,7 +13,7 @@ from scipy.integrate import quad, solve_ivp
 
 from photon_work.analysis import compare_equivalences
 from photon_work.dynamics import closed_form_psi, full_cycle_grid
-from photon_work.model import TimeGrid, make_pulse, make_system, uniform_grid
+from photon_work.model import TimeGrid, make_pulse, uniform_grid
 from photon_work.pulse import envelope_at, normalization
 from photon_work.semiclassical import (
     _CHUNK,
@@ -31,11 +31,6 @@ from photon_work.semiclassical import (
     work_total_and_decomposition,
 )
 from photon_work.thermo import photon_report
-
-
-@pytest.fixture(scope="module")
-def sys1():
-    return make_system()
 
 
 @pytest.fixture(scope="module")

@@ -15,11 +15,6 @@ from photon_work.thermo import energy_moments, thermo_report
 
 
 @pytest.fixture(scope="module")
-def sys1():
-    return make_system()
-
-
-@pytest.fixture(scope="module")
 def detuned_run(sys1):
     """A generic full cycle with both detuning and bandwidth mismatch."""
     pulse = make_pulse(0.3, 0.7)

@@ -9,13 +9,14 @@ workload and seed, runs through ``photon_work.cli.main`` twice, each time
 in a fresh interpreter with ``PYTHONPATH`` set to one tree's ``src``:
 first BASE_TREE, then this repository.  Per workload and seed it reports
 whether the exit statuses match, the stdout lines that differ (the
-``wrote <path>`` lines left out), and for each CSV written whether it is
+``wrote <path>`` lines left out), the stderr lines that differ (``note:``
+and violation messages included), and for each CSV written whether it is
 byte-identical, or else the largest relative difference
 |a - b| / max(|a|, |b|) in each column; a column that differs also gets
 its largest absolute difference and its largest magnitude, so a change
 of a sample near zero is not read as a change of the column.  It exits
 with status 1 when an exit status, a CSV's name, a header or a row
-count differs.
+count differs; a stdout, stderr or value difference is only reported.
 
 Outputs go to a temporary directory, removed afterwards, and no
 bytecode is written, so neither tree is written to.
@@ -39,7 +40,8 @@ _MAIN = "import sys\nfrom photon_work.cli import main\nraise SystemExit(main(sys
 
 
 def run_cli(tree: Path, config_text: str, workdir: Path):
-    """(exit status, stdout without ``wrote`` lines, {csv name: path})."""
+    """(exit status, stdout without ``wrote`` lines, stderr lines,
+    {csv name: path})."""
     workdir.mkdir(parents=True)
     cfg = workdir / "run.cfg"
     cfg.write_text(config_text)
@@ -49,7 +51,8 @@ def run_cli(tree: Path, config_text: str, workdir: Path):
         cwd=workdir, env=env, capture_output=True, text=True,
     )
     stdout = [line for line in done.stdout.splitlines() if not line.startswith("wrote ")]
-    return done.returncode, stdout, {p.name: p for p in workdir.glob("*.csv")}
+    csvs = {p.name: p for p in workdir.glob("*.csv")}
+    return done.returncode, stdout, done.stderr.splitlines(), csvs
 
 
 def column_differences(base: Path, new: Path):
@@ -78,14 +81,16 @@ def column_differences(base: Path, new: Path):
 
 def compare(base_tree: Path, name: str, config_text: str, scratch: Path) -> bool:
     """Prints the report of one config; False on a structural difference."""
-    status_a, out_a, csvs_a = run_cli(base_tree, config_text, scratch / "base")
-    status_b, out_b, csvs_b = run_cli(ROOT, config_text, scratch / "new")
+    status_a, out_a, err_a, csvs_a = run_cli(base_tree, config_text, scratch / "base")
+    status_b, out_b, err_b, csvs_b = run_cli(ROOT, config_text, scratch / "new")
     ok = status_a == status_b and csvs_a.keys() == csvs_b.keys()
     print(f"{name}: exit {status_a} / {status_b}, "
-          f"stdout {'same' if out_a == out_b else 'differs'}")
-    for line in difflib.ndiff(out_a, out_b):
-        if line[0] in "-+":
-            print(f"  stdout {line}")
+          f"stdout {'same' if out_a == out_b else 'differs'}, "
+          f"stderr {'same' if err_a == err_b else 'differs'}")
+    for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+        for line in difflib.ndiff(a, b):
+            if line[0] in "-+":
+                print(f"  {stream} {line}")
     if csvs_a.keys() != csvs_b.keys():
         print(f"  CSV files {sorted(csvs_a)} != {sorted(csvs_b)}")
     for csv_name in sorted(csvs_a.keys() & csvs_b.keys()):
