@@ -7,6 +7,10 @@ flow split into work (dynamic level shift) and generalized heat
 Semiclassical side: the same emitter under a coherent pulse of identical
 envelope, via the optical Bloch equations and linear response.  A
 discretized-continuum eigen-expansion provides brute-force ground truth.
+
+The namespace is the library.  The batch front end (``photon-work`` or
+``python -m photon_work.cli``), with ``RunConfig``, ``parse_config`` and
+``run``, is ``photon_work.cli``, which ``import photon_work`` never loads.
 """
 
 from .analysis import (
@@ -23,13 +27,14 @@ from .dynamics import (
     full_cycle_grid,
     integrate_psi,
 )
-from .effective import EffectiveTrajectory, effective_trajectory
 from .model import (
     PulseParams,
     SystemParams,
     TimeGrid,
+    envelope_at,
     make_pulse,
     make_system,
+    normalization,
     uniform_grid,
 )
 from .oracle import (
@@ -41,7 +46,6 @@ from .oracle import (
     make_mode_grid,
     propagate,
 )
-from .pulse import envelope_at, normalization
 from .semiclassical import (
     BlochTrajectory,
     SemiclassicalReport,
@@ -51,8 +55,13 @@ from .semiclassical import (
     work_reactive,
     work_total_and_decomposition,
 )
-from .thermo import ThermoReport, photon_report, thermo_report
-from .cli import RunConfig, parse_config, run
+from .thermo import (
+    EffectiveTrajectory,
+    ThermoReport,
+    effective_trajectory,
+    photon_report,
+    thermo_report,
+)
 
 __version__ = "0.1.0"
 
@@ -68,7 +77,6 @@ __all__ = [
     "OracleTrajectory",
     "PulseParams",
     "RegimeFlags",
-    "RunConfig",
     "SemiclassicalReport",
     "SystemParams",
     "ThermoReport",
@@ -87,10 +95,8 @@ __all__ = [
     "make_pulse",
     "make_system",
     "normalization",
-    "parse_config",
     "photon_report",
     "propagate",
-    "run",
     "susceptibility",
     "thermo_report",
     "uniform_grid",

@@ -50,7 +50,6 @@ from .dynamics import (
     closed_form_trajectory,
     full_cycle_grid,
 )
-from .effective import effective_trajectory
 from .model import DEFAULT_STEP_CAP, SystemParams, make_pulse, make_system, uniform_grid
 from .oracle import (
     DEFAULT_DRIFT_TOL,
@@ -59,7 +58,7 @@ from .oracle import (
     make_mode_grid,
     propagate,
 )
-from .thermo import ThermoReport, photon_report
+from .thermo import ThermoReport, effective_trajectory, photon_report
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 

@@ -26,10 +26,10 @@ from .model import (
     TimeGrid,
     check_step,
     default_step,
+    envelope_at,
     rate_scale,
     uniform_grid,
 )
-from .pulse import envelope_at
 
 __all__ = [
     "AmplitudeTrajectory",

@@ -15,11 +15,12 @@ M = [[0, 0, 2], [0, 0, 0], [-2, 0, 0]] and e = (-1, 0, 0).
 
 Over step k the drive's factor 2 F x is a_k e^{-delta tau/2},
 0 <= tau <= h, so the step's exact map is I + sum_j a_k^j Phi_j(h),
-the Dyson series in the drive's modulus, cut after a^6.  One matrix
+the Dyson series in the drive's modulus, cut after a^K.  One matrix
 exponential per run gives every Phi_j (Van Loan, IEEE TAC 23(3), 1978;
 Hochbruck & Ostermann, Acta Numerica 19, 2010).  The first dropped term
-is about (a h)^7 / 7!, with no gamma0, delta or deltaL in it, so the
-steps are exact in time to rounding at a head's spacing.
+is about (a h)^(K+1) / (K+1)!, with no gamma0, delta or deltaL in it (a
+the drive's peak), and K is the first order >= 6 that puts it at or
+below 2^-53, so the steps are exact in time to rounding at any drive.
 ``integrate_bloch`` builds a fixed-size chunk of these maps from one exp
 and one product with the Phi_j, composes them by a blocked two-level
 prefix scan of stacked 4 x 4 matmuls (Blelloch, "Prefix Sums and Their
@@ -94,9 +95,9 @@ from .model import (
     SystemParams,
     TimeGrid,
     check_step,
+    normalization,
     uniform_grid,
 )
-from .pulse import normalization
 from .thermo import (
     check_full_cycle,
     energy_moments,
@@ -168,9 +169,9 @@ _tail_rule = None
 # and the states) whatever the grid length; blocks are isqrt(_CHUNK) steps.
 _CHUNK = 1 << 14
 
-# Powers of the drive's modulus kept in a step map.  The first dropped
-# term is about (a h)^7 / 7!: 1e-21 at the largest a h of a matched
-# drive's head, 0.0035 (at delta = gamma0).
+# Least order K of a step map (powers a^0 .. a^K of the drive's modulus
+# kept).  At K = 6 the first dropped term, about (a h)^7 / 7!, is 1e-21
+# at the largest a h of a matched drive's head, 0.0035 (at delta = gamma0).
 _ORDER = 6
 # Head spacing in units of 1 / (gamma0 + delta): what the end-corrected
 # trapezoid moments need once the steps are exact.
@@ -193,6 +194,16 @@ def _expm1(a):
     for _ in range(s):
         e = 2.0 * e + e @ e
     return e
+
+
+def _dyson_order(ah):
+    """Order K of the step maps at peak drive times step ``ah``: the first
+    K >= _ORDER with (a h)^(K+1) / (K+1)! at most 2^-53 (module docstring)."""
+    k, term = _ORDER, ah ** (_ORDER + 1) / math.factorial(_ORDER + 1)
+    while term > 2.0**-53:
+        k += 1
+        term *= ah / (k + 1)
+    return k
 
 
 def _dyson_terms(h, gamma0, delta, deltaL, order):
@@ -278,16 +289,15 @@ def integrate_bloch(
     """Integrate the full nonlinear Bloch pair with exact step maps.
 
     The steps run in the laser frame, where each map is I plus the
-    step's Dyson series in the drive's modulus, cut after a^6 (module
-    docstring).  A chunk's maps take one exp and one product with the
-    series' coefficients, built once per run, in the scan's block order;
-    a blocked two-level scan of stacked matmuls composes them, the last
-    state carries into the next chunk, and the chunk's coherences are
-    turned back to the omega0 frame by e^{-i deltaL t}.  The result
+    step's Dyson series in the drive's modulus, cut after a^K, the first
+    K >= 6 with (a h)^(K+1) / (K+1)! <= 2^-53 (a = 2 g N amplitude_scale,
+    the drive's peak).  A chunk's maps take one exp and one product with
+    the series' coefficients, built once per run, in the scan's block
+    order; a blocked two-level scan of stacked matmuls composes them, the
+    last state carries into the next chunk, and the chunk's coherences
+    are turned back to the omega0 frame by e^{-i deltaL t}.  The result
     agrees with the same maps applied step by step to rounding, not
-    bitwise, and with the exact solution to rounding wherever
-    (a h)^7 / 7! is below it (a the drive's peak modulus,
-    2 g N amplitude_scale).
+    bitwise, and with the exact solution to rounding at any drive.
 
     Parameters
     ----------
@@ -304,8 +314,9 @@ def integrate_bloch(
     h = grid.spacing
     check_step(h, system, pulse)
     n = grid.n
-    coeffs = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _ORDER).reshape(-1, 16)
     amp = 2.0 * system.g * amplitude_scale * normalization(system, pulse)
+    order = _dyson_order(abs(amp) * h)
+    coeffs = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, order).reshape(-1, 16)
     rho_eg = np.zeros(n, dtype=np.complex128)
     rho_ee = np.zeros(n, dtype=np.float64)
     state = [0.0, 0.0, 0.0]

@@ -1,15 +1,30 @@
 """Work, generalized heat, and their exact decompositions for one photon run.
 
-Definitions (units hbar = 1, energies in hbar gamma0):
+Definitions (units hbar = 1, energies in hbar gamma0).  The driven
+emitter behaves like a two-level system with a shifted transition
+frequency omega_s(t) = omega0 + delta_eff(t), a time-dependent decay rate
+Gamma(t) and an interaction energy <H_int>(t):
+
+    delta_eff(t) = g Im[phi(0,t) / psi(t)]
+    Gamma(t)     = gamma0 + 2 g Re[phi(0,t) / psi(t)]
+    <H_int>(t)   = 2 g Im[phi psi*]
+
+A negative Gamma(t) marks non-Markovian backflow (coherent absorption
+from the pulse).  :func:`effective_trajectory` samples them through the
+conjugate product z = phi psi* divided by the population, which is
+numerically stable.  The ratios are undefined where psi = 0, so samples
+whose population is at or below ``DEFAULT_ETA`` times its maximum are
+masked (NaN); <H_int> stays regular there and is never masked.  The
+ledger integrates them:
 
     U(t)  = omega0 |psi|^2 + <H_int>/2          internal energy
     W1    = integral |psi|^2 d(omega_s)/dt dt   work (unitary part)
     Q1    = integral d(|psi|^2)/dt omega_s dt   heat (non-unitary part)
 
-with omega_s = omega0 + delta_eff.  Every functional is linear in four
-moments.  On a sampled run :func:`energy_moments` forms them with the
-trapezoid rule and Gregory end corrections in one pass, for the photon
-and for the coherent drive (``semiclassical``); for the closed-form photon
+Every functional is linear in four moments.  On a sampled run
+:func:`energy_moments` forms them with the trapezoid rule and Gregory
+end corrections in one pass, for the photon and for the coherent drive
+(``semiclassical``); for the closed-form photon
 :func:`closed_form_moments` forms all four in closed form (the ratio
 moment from I, a divided difference of digamma functions in one form
 for delta <= gamma0 and another for delta > gamma0), and
@@ -54,17 +69,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .model import PulseParams, SystemParams, TimeGrid
-from .pulse import envelope_at, normalization
+from .model import PulseParams, SystemParams, TimeGrid, envelope_at, normalization
 from .special import digamma_divided_difference
 
 __all__ = [
+    "EffectiveTrajectory",
+    "effective_trajectory",
+    "DEFAULT_ETA",
     "ThermoReport",
     "thermo_report",
     "photon_report",
     "closed_form_moments",
     "FULL_CYCLE_POP",
 ]
+
+# Relative population threshold at or below which ratio quantities are masked.
+DEFAULT_ETA = 1e-12
 
 # Residual end population above which a grid is not a full cycle.
 FULL_CYCLE_POP = 1e-9
@@ -75,6 +95,38 @@ _CHUNK = 1 << 20
 # (energy_moments), and the fewest samples a grid may have.
 _GREGORY = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
 GREGORY_MIN_SAMPLES = 8
+
+
+@dataclass(frozen=True, eq=False)
+class EffectiveTrajectory:
+    """Effective parameters of the driven emitter (module docstring) at a
+    trajectory's samples: the shift ``delta_eff``, the decay rate
+    ``gamma_t``, the interaction energy ``h_int`` and the population
+    ``pop`` = |psi|^2.  ``valid_mask`` is False at the masked samples,
+    where ``delta_eff`` and ``gamma_t`` hold NaN.
+    """
+
+    delta_eff: np.ndarray
+    gamma_t: np.ndarray
+    h_int: np.ndarray
+    pop: np.ndarray
+    valid_mask: np.ndarray
+
+
+def effective_trajectory(traj: AmplitudeTrajectory) -> EffectiveTrajectory:
+    """Derive all effective parameters from an amplitude trajectory."""
+    phi = envelope_at(traj.system, traj.pulse, traj.grid.times())
+    z = phi * np.conj(traj.psi)
+    pop = np.abs(traj.psi) ** 2
+    g = traj.system.g
+    valid = pop > DEFAULT_ETA * pop.max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_eff = np.where(valid, g * z.imag / pop, np.nan)
+        gamma_t = np.where(valid, traj.system.gamma0 + 2.0 * g * z.real / pop, np.nan)
+    h_int = 2.0 * g * z.imag
+    return EffectiveTrajectory(
+        delta_eff=delta_eff, gamma_t=gamma_t, h_int=h_int, pop=pop, valid_mask=valid
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from photon_work.dynamics import (
     full_cycle_grid,
     integrate_psi,
 )
-from photon_work.effective import EffectiveTrajectory, effective_trajectory
 from photon_work.model import (
     PulseParams,
     SystemParams,
@@ -39,7 +38,12 @@ from photon_work.semiclassical import (
     integrate_bloch,
     work_total_and_decomposition,
 )
-from photon_work.thermo import ThermoReport, thermo_report
+from photon_work.thermo import (
+    EffectiveTrajectory,
+    ThermoReport,
+    effective_trajectory,
+    thermo_report,
+)
 
 RUN_SEED = 20240817
 N_RUNS = 50

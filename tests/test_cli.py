@@ -639,6 +639,29 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_import_leaves_cli_unloaded(workdir):
+    # The package namespace is the library: with photon_work.cli loaded by
+    # the package, `python -m photon_work.cli` printed runpy's
+    # RuntimeWarning that the module was already in sys.modules.
+    src = str(Path(photon_work.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, photon_work\nprint('photon_work.cli' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+    cfg = _write(workdir, "mode=detuning_scan\ndelta=0.1\ndeltaL_values=0.2\nout=ns\n")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "photon_work.cli", cfg],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (workdir / "ns_scan.csv").is_file()
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from photon_work.dynamics import closed_form_trajectory, integrate_psi
-from photon_work.effective import effective_trajectory
 from photon_work.model import make_pulse, uniform_grid
+from photon_work.thermo import effective_trajectory
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
-from photon_work.model import make_pulse, make_system
-from photon_work.pulse import envelope_at
+from photon_work.model import envelope_at, make_pulse, make_system
 from photon_work.semiclassical import integrate_bloch, work_total_and_decomposition
 from photon_work.thermo import _CHUNK, thermo_report
 

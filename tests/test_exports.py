@@ -8,6 +8,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,15 @@ import pytest
 import photon_work
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(photon_work.__path__))
+
+
+def test_readme_layout_lists_every_module():
+    """README's Layout table has one ``photon_work.<name>`` row per module
+    of the package, and no row for a module that is gone."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `photon_work\.(\w+)` \|", layout, re.M)
+    assert sorted(rows) == SUBMODULES
 
 
 def _callables(mod):

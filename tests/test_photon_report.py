@@ -8,8 +8,7 @@ import mpmath
 import pytest
 
 from photon_work.dynamics import closed_form_trajectory, full_cycle_grid
-from photon_work.model import make_pulse, make_system
-from photon_work.pulse import normalization
+from photon_work.model import make_pulse, make_system, normalization
 from photon_work.thermo import (
     _ledger,
     _phase_integral,

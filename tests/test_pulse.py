@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from photon_work.model import make_pulse, make_system
-from photon_work.pulse import envelope_at, normalization
+from photon_work.model import envelope_at, make_pulse, make_system, normalization
 
 
 def _envelope(delta: float, deltaL: float = 0.0, rho0: float = 1.0 / (2.0 * math.pi)):

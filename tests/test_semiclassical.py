@@ -13,13 +13,13 @@ from scipy.integrate import quad, solve_ivp
 
 from photon_work.analysis import compare_equivalences
 from photon_work.dynamics import closed_form_psi, full_cycle_grid
-from photon_work.model import TimeGrid, make_pulse, uniform_grid
-from photon_work.pulse import envelope_at, normalization
+from photon_work.model import TimeGrid, envelope_at, make_pulse, normalization, uniform_grid
 from photon_work.semiclassical import (
     _CHUNK,
     _ORDER,
     HEAD_LENGTH,
     BlochTrajectory,
+    _dyson_order,
     _dyson_terms,
     _series,
     _step_maps,
@@ -93,13 +93,14 @@ def _maps_reference(system, pulse, grid, amplitude_scale):
     """rho_eg, rho_ee and the drive of the Bloch pair, by the laser-frame
     step maps of ``integrate_bloch`` summed from their Dyson terms,
     applied one step at a time in a scalar loop, each state turned back
-    by e^{-i deltaL t_k}."""
+    by e^{-i deltaL t_k}.  The maps keep as many powers of the drive as
+    ``integrate_bloch`` does: 9 on the strong drive, at a h = 0.042."""
     h, n = grid.spacing, grid.n
-    terms = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _ORDER)
     t = grid.times()
     peak = amplitude_scale * normalization(system, pulse)
     drive = peak * np.exp(-complex(0.5 * pulse.delta, pulse.deltaL) * t)
     amp = 2.0 * system.g * peak
+    terms = _dyson_terms(h, system.gamma0, pulse.delta, pulse.deltaL, _dyson_order(amp * h))
     rho_eg, rho_ee = np.zeros(n, complex), np.zeros(n)
     x = y = p = 0.0
     for lo in range(0, n - 1, _BATCH):
@@ -139,8 +140,8 @@ def _maps_reference(system, pulse, grid, amplitude_scale):
     ],
 )
 def test_scan_matches_step_by_step_maps(sys1, delta, deltaL, scale, steps, tol):
-    """The blocked affine scan, with maps from the 7 powers of the
-    drive, reproduces a scalar loop over maps summed straight from the
+    """The blocked affine scan, with maps from the powers of the drive
+    that ``_dyson_order`` keeps, reproduces a scalar loop over maps summed straight from the
     Dyson terms to rounding: each array within ``tol`` of its largest
     magnitude.  The heads catch rounding that repeats at every step: with
     the identity folded into the step maps' coefficients, rho_eg sat
@@ -163,9 +164,9 @@ def test_scan_matches_step_by_step_maps(sys1, delta, deltaL, scale, steps, tol):
         assert ref[1].max() > 0.3
 
 
-def _dop853_states(system, pulse, times, amplitude_scale):
+def _dop853_states(system, pulse, times, amplitude_scale, rtol=1e-13):
     """rho_eg and rho_ee of the Bloch pair at ``times`` by DOP853 at
-    rtol 1e-13, atol 1e-17.  The work accumulators of
+    ``rtol``, atol 1e-17.  The work accumulators of
     :func:`_dop853_drive_work` stay out: they join the step control's
     error norm and put the strong drive's rho_eg 1.9e-13 off, not 4e-14."""
     g, gamma0 = system.g, system.gamma0
@@ -185,7 +186,7 @@ def _dop853_states(system, pulse, times, amplitude_scale):
         [0.0] * 3,
         method="DOP853",
         t_eval=times,
-        rtol=1e-13,
+        rtol=rtol,
         atol=1e-17,
     )
     assert sol.success, sol.message
@@ -206,6 +207,21 @@ def test_head_meets_a_tight_dop853_run(sys1, delta, deltaL, scale):
     rho_eg, rho_ee = _dop853_states(sys1, pulse, grid.times()[pick], scale)
     for got, want in ((bt.rho_eg[pick], rho_eg), (bt.rho_ee[pick], rho_ee)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scale", [60.0, 100.0])
+def test_strong_drive_keeps_more_dyson_powers(sys1, scale):
+    """Past the heads' drives the series keeps more powers than a^6, so
+    the steps stay exact in time: at delta = 1, h = 1e-3 and 60 or 100
+    times the matched drive (a h = 0.085 and 0.14), rho_eg and rho_ee at
+    t = 5 meet DOP853 at rtol 2.5e-14 within 1e-13.  Cut after a^6,
+    rho_ee was 2.1e-11 and 7.1e-10 off; it is within 8e-15 here."""
+    pulse = make_pulse(1.0)
+    grid = uniform_grid(5.0, 1e-3)
+    bt = integrate_bloch(sys1, pulse, grid, amplitude_scale=scale)
+    rho_eg, rho_ee = _dop853_states(sys1, pulse, grid.times()[-1:], scale, rtol=2.5e-14)
+    assert abs(bt.rho_eg[-1] - rho_eg[0]) <= 1e-13
+    assert abs(bt.rho_ee[-1] - rho_ee[0]) <= 1e-13
 
 
 def test_cut_dyson_series_is_converged(sys1):
