@@ -7,8 +7,9 @@ The rotating-frame amplitude obeys the linear equation
 where ``phi(0, t)`` is the pulse envelope at the emitter.  This module
 provides the closed-form solution and a fixed-step fourth-order (RK4)
 integration of the same equation, so each can serve as an oracle for the
-other.  Both store amplitudes in the frame rotating at ``omega0``; the
-lab-frame amplitude is ``psi(t) * exp(-i omega0 t)``.
+other; one divided difference of two exponentials gives both.  Both
+store amplitudes in the frame rotating at ``omega0``; the lab-frame
+amplitude is ``psi(t) * exp(-i omega0 t)``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ __all__ = [
 # Default end-population target of a full-cycle grid.
 DEFAULT_CYCLE_TOL = 1e-12
 
-_CHUNK = 1 << 20
-
-# closed_form_psi keeps the plain difference of exponentials where
-# |a - b| t reaches this, and the exprel series below it.
+# _divided_difference keeps the plain difference of exponentials where
+# |p - q| t reaches this, and the exprel series below it.
 _PLAIN_MIN = 0.5
 # Taylor coefficients 1/(k+1)! of exprel: the 16th term is below 2e-18
 # for |z| < _PLAIN_MIN.
@@ -85,7 +84,7 @@ class AmplitudeTrajectory:
 def _exprel(z):
     """``(e^z - 1) / z`` elementwise (1 at z = 0) by its Taylor series, with
     both components accurate to a few ulps for |z| < _PLAIN_MIN, all that
-    its only caller, :func:`closed_form_psi`, passes."""
+    its only caller, :func:`_divided_difference`, passes."""
     z = np.asarray(z, dtype=complex)
     acc = np.full_like(z, _EXPREL_COEFFS[-1])
     for c in reversed(_EXPREL_COEFFS[:-1]):
@@ -93,20 +92,33 @@ def _exprel(z):
     return acc
 
 
+def _divided_difference(scale, p, q, t):
+    """``scale (e^{-p t} - e^{-q t}) / (p - q)`` at the times ``t`` >= 0
+    (1-D), p real and q complex.  Where |p - q| t < 0.5 it is
+    ``-scale t e^{-q t} exprel(-(p - q) t)``, accurate to a few ulps as
+    p -> q (the confluent limit ``-scale t e^{-q t}`` at p = q) and at
+    the first samples; elsewhere the plain difference, whose factors
+    never overflow, whereas ``expm1`` of (q - p) t does at Re q << p."""
+    d = p - q
+    if d != 0:
+        out = scale * (np.exp(-p * t) - np.exp(-q * t)) / d
+    else:
+        out = np.zeros(t.shape, dtype=complex)
+    # Both branches give 0 at t = 0.
+    near = (abs(d) * t < _PLAIN_MIN) & (t > 0.0)
+    if near.any():
+        tn = t[near]
+        out[near] = -scale * tn * np.exp(-q * tn) * _exprel(-d * tn)
+    return out
+
+
 def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
-    """Closed-form rotating-frame amplitude ``psi(t)``.
+    """Closed-form rotating-frame amplitude ``psi(t)``: with a = gamma0/2
+    and b = delta/2 + i deltaL, the divided difference
 
-    With a = gamma0/2 and b = delta/2 + i deltaL this is
+        sqrt(gamma0 delta / 2) (e^{-a t} - e^{-b t}) / (a - b),
 
-        sqrt(gamma0 delta / 2) (e^{-a t} - e^{-b t}) / (a - b).
-
-    Where |a - b| t < 0.5 the divided difference is evaluated as
-    ``-t e^{-b t} exprel(-(a - b) t)``, which stays accurate to a few ulps
-    as a -> b and at the first samples of every grid, and gives the
-    confluent limit ``-sqrt(gamma0 delta / 2) t e^{-b t}`` at a = b
-    (gamma0 = delta, deltaL = 0: the maximal-absorption case).  Elsewhere
-    the plain difference is kept: its factors never overflow, whereas
-    ``expm1`` of (b - a) t does at delta << gamma0 on long grids.
+    confluent at a = b (gamma0 = delta, deltaL = 0: maximal absorption).
 
     Parameters
     ----------
@@ -116,20 +128,9 @@ def closed_form_psi(system: SystemParams, pulse: PulseParams, t):
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0.0):
         raise ValueError("t must be >= 0")
-    a = 0.5 * system.gamma0
-    b = complex(0.5 * pulse.delta, pulse.deltaL)
-    d = a - b
     amp = math.sqrt(0.5 * system.gamma0 * pulse.delta)
-    flat = tt.reshape(-1)
-    if d != 0:
-        out = amp * (np.exp(-a * flat) - np.exp(-b * flat)) / d
-    else:
-        out = np.zeros(flat.shape, dtype=complex)
-    # Both branches give 0 at t = 0.
-    near = (abs(d) * flat < _PLAIN_MIN) & (flat > 0.0)
-    if near.any():
-        tn = flat[near]
-        out[near] = -amp * tn * np.exp(-b * tn) * _exprel(-d * tn)
+    b = complex(0.5 * pulse.delta, pulse.deltaL)
+    out = _divided_difference(amp, 0.5 * system.gamma0, b, tt.reshape(-1))
     if np.isscalar(t) or tt.ndim == 0:
         return complex(out[0])
     return out.reshape(tt.shape)
@@ -206,11 +207,13 @@ def integrate_psi(
 ) -> AmplitudeTrajectory:
     """Fixed-step RK4 integration of the amplitude equation.
 
-    The equation is linear in ``psi`` with a constant real coefficient
-    ``-gamma0/2``, so one RK4 step is an affine recurrence
-    ``psi[m+1] = A psi[m] + B[m]`` whose coefficients involve the drive at
-    the step endpoints and midpoint.  The recurrence is evaluated with a
-    C-level IIR filter; the result is bit-for-bit the classical RK4 sweep.
+    The equation is linear with the constant coefficient ``-gamma0/2``
+    and the drive falls by Q = e^{-b h}, b = delta/2 + i deltaL, at every
+    step, so one RK4 step is ``psi[m+1] = A psi[m] + B Q^m`` (A RK4's
+    amplification, B its drive weight).  From psi[0] = 0 the samples are
+    the recurrence's exact solution ``B (A^m - Q^m) / (A - Q)``, the
+    divided difference at rates (-log A, b h) and "time" m over its value
+    at m = 1, equal to the step-by-step sweep to rounding.
 
     Raises
     ------
@@ -218,32 +221,19 @@ def integrate_psi(
         If ``grid.spacing`` exceeds ``0.05 / max(gamma0, delta, |deltaL|)``
         (accuracy guard), refusing a step too coarse for the fastest rate.
     """
-    # scipy.signal is slow to import and no CLI mode integrates psi.
-    from scipy.signal import lfilter
-
     h = grid.spacing
+    # The guard also keeps a_step > 0, so its log is defined.
     check_step(h, system, pulse)
     mu = -0.5 * system.gamma0 * h
     # One-step amplification and drive weights of RK4 for y' = mu/h y + u(t).
     a_step = 1.0 + mu * (1.0 + mu * (0.5 + mu * (1.0 / 6.0 + mu / 24.0)))
     c_node = 1.0 + mu * (1.0 + mu * (0.5 + mu * 0.25))
     c_half = 4.0 + mu * (2.0 + mu * 0.5)
-
-    n = grid.n
-    psi = np.empty(n, dtype=complex)
-    psi[0] = 0.0
-    g = system.g
-    zi = np.zeros(1, dtype=complex)
-    for i0 in range(0, n - 1, _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        nodes = envelope_at(system, pulse, np.arange(i0, i1 + 1) * h)
-        t_half = (np.arange(i0, i1) + 0.5) * h
-        u_half = -g * envelope_at(system, pulse, t_half)
-        u_lo = -g * nodes[:-1]
-        u_hi = -g * nodes[1:]
-        b_drive = (h / 6.0) * (c_node * u_lo + c_half * u_half + u_hi)
-        seg, zi = lfilter([1.0], [1.0, -a_step], b_drive, zi=zi)
-        psi[i0 + 1 : i1 + 1] = seg
+    e_lo, e_half, e_hi = envelope_at(system, pulse, np.array([0.0, 0.5, 1.0]) * h)
+    b_drive = (h / 6.0) * -system.g * (c_node * e_lo + c_half * e_half + e_hi)
+    p, q = -math.log(a_step), complex(0.5 * pulse.delta, pulse.deltaL) * h
+    b_drive /= _divided_difference(1.0, p, q, np.ones(1))[0]
+    psi = _divided_difference(b_drive, p, q, np.arange(grid.n, dtype=float))
     return AmplitudeTrajectory(grid=grid, psi=psi, system=system, pulse=pulse)
 
 

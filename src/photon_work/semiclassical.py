@@ -368,22 +368,31 @@ def _series(traj: BlochTrajectory) -> tuple:
     per order.  The orders run up to k delta <= _ORDER_LIMIT gamma0, and
     the arrays end at the last order whose term |c_k| x_T^k, x_T at the
     end of ``traj``'s grid, exceeds _SERIES_RTOL of the largest; K = 0
-    where delta > _ORDER_LIMIT gamma0.
+    where delta > _ORDER_LIMIT gamma0.  Where 2 |F| x_T is at most both
+    moduli of the last order's denominators, the smallest, no term exceeds
+    the one before, so the loop stops at the first term below half the cut.
     """
     gamma0 = traj.system.gamma0
     delta = traj.pulse.delta
     deltaL = traj.pulse.deltaL
     f = traj.amplitude_scale * traj.system.g * normalization(traj.system, traj.pulse)
     orders = math.floor(_ORDER_LIMIT * gamma0 / delta)
+    x_end = math.exp(-0.5 * delta * traj.grid.tf)
+    last = complex(0.5 * (gamma0 - orders * delta), -deltaL)
+    falls = 2.0 * abs(f) * x_end <= min(abs(last), gamma0 - 0.5 * orders * delta)
     sigma, rho = [], []
-    rhs_sigma, rhs_rho = -f, 0.0  # F e
+    rhs_sigma, rhs_rho, top = -f, 0.0, 0.0  # F e
     for k in range(1, orders + 1):
         sigma.append(rhs_sigma / complex(0.5 * (gamma0 - k * delta), -deltaL))
         rho.append(rhs_rho / (gamma0 - 0.5 * k * delta))
+        if falls:
+            term = (abs(sigma[-1]) + abs(rho[-1])) * x_end**k
+            top = max(top, term)
+            if term <= 0.5 * _SERIES_RTOL * top:
+                break
         rhs_sigma, rhs_rho = 2.0 * f * rho[-1], -2.0 * f * sigma[-1].real  # F M c_k
     sigma, rho = np.array(sigma, dtype=complex), np.array(rho)
-    x_end = math.exp(-0.5 * delta * traj.grid.tf)
-    term = (np.abs(sigma) + np.abs(rho)) * x_end ** np.arange(1, orders + 1)
+    term = (np.abs(sigma) + np.abs(rho)) * x_end ** np.arange(1, len(rho) + 1)
     big = np.flatnonzero(term > _SERIES_RTOL * np.max(term, initial=0.0))
     n = big[-1] + 1 if big.size else 0
     return sigma[:n], rho[:n]

@@ -7,8 +7,11 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,30 +90,41 @@ def test_step_means_an_exact_spacing(module):
     assert not bad, f"{module}: {bad} take step; name a cap max_step"
 
 
-def _module_level_imports(tree):
-    """Import statements outside every function body (if, try and class
-    blocks included)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 @pytest.mark.parametrize("module", ["__init__"] + SUBMODULES)
 def test_no_module_level_scipy_import(module):
-    """The package imports numpy and the standard library only, so that
-    ``photon-work`` starts quickly; a function may still import scipy
-    where it needs it (``dynamics.integrate_psi``)."""
+    """No import statement of the package, at module level or in a
+    function body, names scipy: it runs on numpy and the standard library
+    alone, so ``photon-work`` starts quickly, and scipy serves only the
+    tests and ``bench/``."""
     path = Path(photon_work.__file__).with_name(f"{module}.py")
     bad = []
-    for node in _module_level_imports(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        else:
+        elif isinstance(node, ast.ImportFrom):
             names = [node.module or ""] if node.level == 0 else []
+        else:
+            continue
         bad += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert not bad, f"{module}: {bad}"
+
+
+def test_rk4_amplitude_runs_without_scipy():
+    # The import scan above reads the source; this runs the RK4 amplitude
+    # in a fresh interpreter and lists the scipy modules it holds after.
+    code = (
+        "import sys\n"
+        "from photon_work import integrate_psi, make_pulse, make_system, uniform_grid\n"
+        "integrate_psi(make_system(), make_pulse(0.3, 0.5), uniform_grid(10.0, 1e-3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(photon_work.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

@@ -17,6 +17,8 @@ from photon_work.model import TimeGrid, envelope_at, make_pulse, normalization, 
 from photon_work.semiclassical import (
     _CHUNK,
     _ORDER,
+    _ORDER_LIMIT,
+    _SERIES_RTOL,
     HEAD_LENGTH,
     BlochTrajectory,
     _dyson_order,
@@ -642,6 +644,71 @@ def test_series_terms_stay_bounded_near_resonance(sys1):
     sigma, rho = _series(head)
     assert sigma.shape == rho.shape == (1,)
     assert max(abs(sigma[0]), abs(rho[0])) < 10.0
+
+
+def _series_every_order(traj):
+    """``_series`` as it was before its loop could stop early: every order
+    up to k delta <= _ORDER_LIMIT gamma0, then the cut at _SERIES_RTOL of
+    the largest term.  Its one shortcut: once both coefficients of an
+    order are exactly 0, so is every later one, and a zero term neither
+    passes the cut nor moves the largest, so the loop ends there."""
+    gamma0, delta, deltaL = traj.system.gamma0, traj.pulse.delta, traj.pulse.deltaL
+    f = traj.amplitude_scale * traj.system.g * normalization(traj.system, traj.pulse)
+    orders = math.floor(_ORDER_LIMIT * gamma0 / delta)
+    sigma, rho = [], []
+    rhs_sigma, rhs_rho = -f, 0.0
+    for k in range(1, orders + 1):
+        sigma.append(rhs_sigma / complex(0.5 * (gamma0 - k * delta), -deltaL))
+        rho.append(rhs_rho / (gamma0 - 0.5 * k * delta))
+        if sigma[-1] == 0.0 and rho[-1] == 0.0:
+            break
+        rhs_sigma, rhs_rho = 2.0 * f * rho[-1], -2.0 * f * sigma[-1].real
+    sigma, rho = np.array(sigma, dtype=complex), np.array(rho)
+    x_end = math.exp(-0.5 * delta * traj.grid.tf)
+    term = (np.abs(sigma) + np.abs(rho)) * x_end ** np.arange(1, len(rho) + 1)
+    big = np.flatnonzero(term > _SERIES_RTOL * np.max(term, initial=0.0))
+    n = big[-1] + 1 if big.size else 0
+    return sigma[:n], rho[:n]
+
+
+def _series_input(system, delta, deltaL, scale=1.0):
+    """A trajectory that carries only what ``_series`` reads: the head's
+    grid, the system, the pulse and the drive's scale."""
+    pulse = make_pulse(delta, deltaL)
+    empty = np.zeros(0)
+    return BlochTrajectory(head_grid(system, pulse), empty, empty, scale, system, pulse)
+
+
+@pytest.mark.parametrize("deltaL", [0.2, -3.0, 40.0])
+@pytest.mark.parametrize(
+    "delta,scale",
+    [(1e-7, 1.0), (1e-6, 1.0), (1e-4, 1.0), (1e-3, 1.0), (0.01, 1.0), (0.1, 1.0), (1e-4, 30.0)],
+)
+def test_series_stop_keeps_every_bit(sys1, delta, deltaL, scale):
+    """The loop that stops once no later term can pass the cut keeps the
+    same orders, bit for bit, as one over every order.  At scale 30 and
+    delta = 1e-4 the drive is strong enough that a term may exceed the
+    one before (2 |F| x_T above the last denominators at deltaL = 0.2),
+    and every order is formed."""
+    traj = _series_input(sys1, delta, deltaL, scale)
+    got, want = _series(traj), _series_every_order(traj)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_series_work_does_not_grow_with_the_order_limit(sys1):
+    """At delta = 1e-6 the order limit is 900,000 and 7 orders are kept:
+    the loop formed every one of them, 83 MB under tracemalloc and about
+    0.6 s; it now stops at the cut."""
+    traj = _series_input(sys1, 1e-6, 0.2)
+    tracemalloc.start()
+    try:
+        sigma, _ = _series(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sigma) == 7
+    assert peak < 2**20
 
 
 def test_tail_needs_a_full_head(sys1):

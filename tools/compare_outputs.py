@@ -11,7 +11,8 @@ first BASE_TREE, then this repository.  Per workload and seed it reports
 whether the exit statuses match, the stdout lines that differ (the
 ``wrote <path>`` lines left out), the stderr lines that differ (``note:``
 and violation messages included), and for each CSV written whether it is
-byte-identical, or else the largest relative difference
+byte-identical, whether its values are all equal though its bytes
+differ (a -0 against a 0, say), or else the largest relative difference
 |a - b| / max(|a|, |b|) in each column; a column that differs also gets
 its largest absolute difference and its largest magnitude, so a change
 of a sample near zero is not read as a change of the column.  It exits
@@ -101,6 +102,8 @@ def compare(base_tree: Path, name: str, config_text: str, scratch: Path) -> bool
         if problem is not None:
             ok = False
             print(f"  {csv_name}: {problem}")
+        elif not any(r for r, _, _ in rel.values()):
+            print(f"  {csv_name}: values equal, bytes differ")
         else:
             print(f"  {csv_name}: " + ", ".join(
                 f"{c} {r:.2g}" + (f" (abs {g:.2g} of {m:.2g})" if r else "")
